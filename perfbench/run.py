@@ -99,7 +99,13 @@ def peak_rss_mb() -> float:
 def typical(samples: list) -> float:
     """Geometric mean of the operation times: P=2 calls are bimodal at
     this commit (a ~30% fast mode), which flips the median of the 3-4
-    passes a run holds, and rare multi-second outliers swing the mean."""
+    passes a run holds, and rare multi-second outliers swing the mean.
+    A run whose operations all failed may hold no sample or a zero one;
+    it still gets a number, and ``ok_share`` reports the failures."""
+    if not samples:
+        return 0.0
+    if min(samples) <= 0.0:
+        return statistics.fmean(samples)
     return statistics.geometric_mean(samples)
 
 
@@ -161,18 +167,35 @@ def per_layer(res, tracer, units: int, span_cost_s: float) -> dict:
     return layers
 
 
-def stop_helpers() -> None:
-    """Stop and reap the resource-tracker process multiprocessing starts
-    for shared memory, so the run leaves no process behind."""
+def measure(workload, seed: int, seconds: float, scale: str, tracer):
+    """Run ``workload`` and count a leaked ``/dev/shm`` segment as one
+    failed operation.
+
+    The leak check runs after the workers are reaped and before the
+    resource-tracker process is stopped: stopping the tracker unlinks
+    every segment still registered with it, which would hide a leak.
+    The tracker is stopped and reaped so the run leaves no process
+    behind.
+    """
     import multiprocessing
     from multiprocessing import resource_tracker
 
+    import workloads
+
+    shm_before = workloads.shm_segments()
+    res = workload(seed, seconds, scale, tracer)
     for child in multiprocessing.active_children():
         child.join(10.0)
+    leaked = workloads.shm_segments() - shm_before
+    if leaked:
+        res.ledger.failed += 1
+        res.ledger.attempted += 1
+        res.ledger.problems.append(f"leaked shm segments: {sorted(leaked)}")
     tracker = resource_tracker._resource_tracker
     if getattr(tracker, "_pid", None) is not None and hasattr(tracker,
                                                                "_stop"):
         tracker._stop()
+    return res
 
 
 def spec_metrics(kind: str, measured: dict) -> dict:
@@ -221,26 +244,22 @@ def main(argv=None) -> int:
     span_cost = tracing.overhead_per_span_s() if args.trace else 0.0
     if args.trace:
         tracing.install(tracer)
-    shm_before = workloads.shm_segments()
     scale = "small" if args.smoke else WORKLOAD_SCALE[args.workload]
     try:
-        res = workloads.WORKLOADS[args.workload](
-            args.seed, args.seconds, scale, tracer
-        )
+        res = measure(workloads.WORKLOADS[args.workload], args.seed,
+                      args.seconds, scale, tracer)
     finally:
         if args.trace:
             tracer.uninstall()
-    stop_helpers()
-    leaked = workloads.shm_segments() - shm_before
-    if leaked:
-        res.ledger.failed += 1
-        res.ledger.attempted += 1
-        res.ledger.problems.append(f"leaked shm segments: {sorted(leaked)}")
 
     e2e = end_to_end(res)
     for k, (v, u) in e2e.items():
         print(f"{k:>14} = {v:.6g} {u}")
-    for label, samples in (("main", res.main), ("side", res.side)):
+    for label, samples in (("main", res.main), ("side", res.side),
+                           ("setup", res.setup_s)):
+        if not samples:
+            print(f"{label:>14} : n=0")
+            continue
         print(f"{label:>14} : n={len(samples)} "
               f"mean={statistics.fmean(samples):.4f} s "
               f"p50={statistics.median(samples):.4f} s "

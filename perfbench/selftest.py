@@ -4,8 +4,9 @@
 
 * a small-scale smoke of every workload, traced and untraced, printing
   exactly the metrics ``BENCHMARK.json`` names, each with its unit;
-* a deliberately wrong solution and a golden mismatch each count as a
-  failed operation;
+* a deliberately wrong solution, a raising solve, a golden mismatch and
+  a leaked shared-memory segment each count as a failed operation, and
+  a run whose operations all failed still gets its metrics;
 * the same seed gives the same inputs, another seed different ones;
 * without ``src/`` next to it the benchmark exits non-zero and prints
   no result.
@@ -53,6 +54,7 @@ def check_smoke() -> None:
 
 
 def check_failures_count() -> None:
+    import run
     import tracing
     import workloads
     from repro.solver import SparseCholesky
@@ -64,14 +66,21 @@ def check_failures_count() -> None:
         x[0] += 1.0
         return x
 
-    SparseCholesky.solve = wrong
-    try:
-        res = workloads.oneshot(3, 0.0, "small", tracing.NullTracer())
-    finally:
-        SparseCholesky.solve = original
-    assert res.ledger.failed == res.ledger.attempted >= 1, res.ledger
-    print(f"ok   wrong solution: {res.ledger.failed}/"
-          f"{res.ledger.attempted} operations failed")
+    def broken(self, b, refine=0):
+        raise RuntimeError("deliberately broken solve")
+
+    for label, patch in (("wrong solution", wrong),
+                         ("raising solve", broken)):
+        SparseCholesky.solve = patch
+        try:
+            res = workloads.oneshot(3, 0.0, "small", tracing.NullTracer())
+        finally:
+            SparseCholesky.solve = original
+        assert res.ledger.failed == res.ledger.attempted >= 1, res.ledger
+        e2e = run.end_to_end(res)
+        assert e2e["ok_share"][0] == 0.0 and e2e["main_s"][0] > 0.0, e2e
+        print(f"ok   {label}: {res.ledger.failed}/"
+              f"{res.ledger.attempted} operations failed")
 
     goldens = workloads.load_goldens("small")
     name = workloads.PLAN_PROBLEMS[0]
@@ -80,6 +89,32 @@ def check_failures_count() -> None:
                                goldens=goldens)
     assert res.ledger.failed == 1 and res.ledger.attempted == 2, res.ledger
     print("ok   golden mismatch: 1/2 operations failed")
+
+
+def check_leak_counted() -> None:
+    from multiprocessing import shared_memory
+
+    import run
+    import tracing
+    import workloads
+
+    leaked = []
+
+    def leaky(seed, seconds, scale, tracer):
+        res = workloads.plan_paper(seed, seconds, scale, tracer)
+        leaked.append(shared_memory.SharedMemory(create=True, size=4096))
+        return res
+
+    res = run.measure(leaky, 3, 0.0, "small", tracing.NullTracer())
+    seg = leaked[0]
+    seg.close()
+    try:
+        seg.unlink()
+    except FileNotFoundError:
+        pass
+    assert res.ledger.failed == 1 and res.ledger.attempted == 3, res.ledger
+    assert seg.name in res.ledger.problems[-1], res.ledger.problems
+    print("ok   leaked shm segment: 1/3 operations failed")
 
 
 def check_seeds() -> None:
@@ -113,6 +148,7 @@ if __name__ == "__main__":
     check_fails_without_program()
     sys.path[:0] = [str(ROOT / "src"), str(HERE)]
     check_failures_count()
+    check_leak_counted()
     check_seeds()
     check_smoke()
     print("selftest passed")

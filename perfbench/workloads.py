@@ -57,11 +57,16 @@ PLAN_P = (64, 196)
 PLAN_MAPPINGS = ("cyclic", "DW/CY", "ID/CY")
 #: max|b - A x| allowed for any solve. Observed residuals are ~1e-14.
 RESIDUAL_TOL = 1e-8
-#: Set-up repetitions; ``setup_s`` is their median. Input generation
-#: takes 0.03-0.2 s and varies 10-20% from one repetition to the next,
-#: so it repeats often; the ``service_mix`` set-up (pool start + two cold
-#: jobs, 4-10 s) runs twice.
-SETUP_REPS = {"oneshot": 15, "plan_paper": 9}
+#: Set-up repetitions after each pass; ``setup_s`` is the median of
+#: these and the set-up before the loop. Input generation takes
+#: 0.03-0.2 s, and the host's single-thread speed moves by up to 2x in
+#: stretches of a second or two, so repetitions made back to back before
+#: the loop all read one stretch (run medians of one ten-run set ranged
+#: 0.025-0.049 s on ``oneshot``). Spread between the passes, they sample
+#: the whole run, as the operation times do. The ``service_mix`` set-up
+#: (pool start + two cold jobs, 4-10 s) runs once before the loop and
+#: once after it.
+SETUP_REPS_PER_PASS = {"oneshot": 4, "plan_paper": 2}
 GOLDENS = Path(__file__).with_name("goldens.json")
 
 
@@ -139,14 +144,22 @@ def _same_factor(L1, L2) -> bool:
     )
 
 
-def _timed_setup(reps: int, build):
-    """Run ``build`` ``reps`` times; keep the last result."""
-    times, out = [], None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        out = build()
-        times.append(time.perf_counter() - t0)
-    return out, times
+def _setup(build, times: list):
+    """Run the set-up ``build`` once and append its time to ``times``."""
+    t0 = time.perf_counter()
+    out = build()
+    times.append(time.perf_counter() - t0)
+    return out
+
+
+def _setup_again(workload: str, build, times: list, tracer):
+    """Repeat the set-up between passes, outside the timed operations;
+    the loop goes on with the inputs it builds."""
+    tracer.phase = "setup"
+    for _ in range(SETUP_REPS_PER_PASS[workload]):
+        out = _setup(build, times)
+    tracer.phase = "loop"
+    return out
 
 
 def _children_peak_mb() -> float:
@@ -175,10 +188,12 @@ def _another(t_start: float, seconds: float, walls: list) -> bool:
 # ----------------------------------------------------------------------
 def oneshot(seed, seconds, scale, tracer) -> Result:
     rng = np.random.default_rng([seed, 1])
-    mats, setup = _timed_setup(
-        SETUP_REPS["oneshot"],
-        lambda: {n: base_matrix(n, scale) for n in ONESHOT_PROBLEMS},
-    )
+
+    def build():
+        return {n: base_matrix(n, scale) for n in ONESHOT_PROBLEMS}
+
+    setup = []
+    mats = _setup(build, setup)
     ledger = Ledger()
     tracer.phase = "loop"
     seq_pass, mp_pass = [], []
@@ -197,14 +212,14 @@ def oneshot(seed, seconds, scale, tracer) -> Result:
             rid = f"{p}:{name}"
             seq = x = None
             errs = []
+            t0 = time.perf_counter()
             try:
                 with tracer.span("op.seq_solve", rid=f"{rid}:seq"):
-                    t0 = time.perf_counter()
                     seq = SparseCholesky(M, block_size=BLOCK_SIZE)
                     x = seq.factor().solve(b)
-                    t_seq += time.perf_counter() - t0
             except Exception as exc:  # noqa: BLE001 - counted, reported
                 errs.append(repr(exc))
+            t_seq += time.perf_counter() - t0
             if x is not None:
                 err = _residual(M, b, x)
                 if not err <= RESIDUAL_TOL:
@@ -213,15 +228,15 @@ def oneshot(seed, seconds, scale, tracer) -> Result:
 
             par = x2 = None
             errs = []
+            t0 = time.perf_counter()
             try:
                 with tracer.span("op.mp_solve", rid=f"{rid}:mp"):
-                    t0 = time.perf_counter()
                     par = SparseCholesky(M, block_size=BLOCK_SIZE,
                                          backend="mp", nprocs=NPROCS)
                     x2 = par.solve(b)
-                    t_mp += time.perf_counter() - t0
             except Exception as exc:  # noqa: BLE001 - counted, reported
                 errs.append(repr(exc))
+            t_mp += time.perf_counter() - t0
             if x2 is not None:
                 errs += _check_mp(par, M, b, x2, seq, x, predicted, name)
                 acc.mp.append(par.runtime_metrics)
@@ -231,12 +246,13 @@ def oneshot(seed, seconds, scale, tracer) -> Result:
         seq_pass.append(t_seq)
         mp_pass.append(t_mp)
         walls.append(time.perf_counter() - t_pass)
+        mats = _setup_again("oneshot", build, setup, tracer)
     wall = time.perf_counter() - t_start
     tracer.phase = "done"
     layers = acc.oneshot_layers(len(seq_pass), predicted)
     seq_s, mp_s = statistics.fmean(seq_pass), statistics.fmean(mp_pass)
     info = {"speedup": f"seq/mp = {seq_s:.4f} s / {mp_s:.4f} s "
-                       f"= {seq_s / mp_s:.3f} (not gated)"}
+                       f"= {_per(seq_s, mp_s):.3f} (not gated)"}
     return Result(mp_pass, seq_pass, ledger.attempted - ledger.failed,
                   wall, setup, ledger, layers, info)
 
@@ -299,14 +315,8 @@ def service_mix(seed, seconds, scale, tracer) -> Result:
             cold.append(r.record.setup_s)
         return svc, current, pids, cold
 
-    # Set up twice; the first service only measures set-up.
     setup = []
-    for keep in (False, True):
-        t0 = time.perf_counter()
-        svc, current, pids, cold = build()
-        setup.append(time.perf_counter() - t0)
-        if not keep:
-            svc.close()
+    svc, current, pids, cold = _setup(build, setup)
     ledger = Ledger()
     lat = {"refactor": [], "solve": []}
     records = {"refactor": [], "solve": []}
@@ -357,35 +367,35 @@ def service_mix(seed, seconds, scale, tracer) -> Result:
 
     def _refactor(name, M, M_new, rid):
         errs = []
+        t0 = time.perf_counter()
         try:
             with tracer.span("op.refactor", rid=rid):
-                t0 = time.perf_counter()
                 res = svc.submit(pattern_id=pids[name],
                                  values=M_new.data).result(300.0)
-                dt = time.perf_counter() - t0
             M = M_new
-            lat["refactor"].append(dt)
             records["refactor"].append((name, res.record, res.metrics))
             first_refactor.setdefault(name, (M, res.L, res.job_id))
         except Exception as exc:  # noqa: BLE001 - counted
             errs.append(repr(exc))
+        lat["refactor"].append(time.perf_counter() - t0)
         ledger.record(f"refactor {rid}", errs)
         return M
 
     def _solve(name, M, b, rid):
         errs = []
+        t0 = time.perf_counter()
         try:
             with tracer.span("op.solve", rid=rid):
-                t0 = time.perf_counter()
                 sol = svc.solve(b, pattern_id=pids[name])
-                dt = time.perf_counter() - t0
+        except Exception as exc:  # noqa: BLE001 - counted
+            errs.append(repr(exc))
+            sol = None
+        lat["solve"].append(time.perf_counter() - t0)
+        if sol is not None:
             err = _residual(M, b, sol.x)
             if not err <= RESIDUAL_TOL:
                 errs.append(f"residual {err:.3e}")
-            lat["solve"].append(dt)
             records["solve"].append((name, sol.record, sol.metrics))
-        except Exception as exc:  # noqa: BLE001 - counted
-            errs.append(repr(exc))
         ledger.record(f"solve {rid}", errs)
 
     threads = [
@@ -401,6 +411,9 @@ def service_mix(seed, seconds, scale, tracer) -> Result:
     entries = {n: svc.cache.lookup(pids[n]) for n in names}
     cache = svc.stats()["pattern_cache"]
     svc.close()
+    # The second set-up sample, a run's length after the first; this
+    # service only measures set-up.
+    _setup(build, setup)[0].close()
     _check_service(entries, records, first_refactor, ledger)
     layers = _service_layers(entries, records, cold, cache)
     info = {"rounds": len(lat["refactor"])}
@@ -469,10 +482,11 @@ def plan_paper(seed, seconds, scale, tracer, goldens=None) -> Result:
     rng = np.random.default_rng([seed, 4])
     if goldens is None:
         goldens = load_goldens(scale)
-    mats, setup = _timed_setup(
-        SETUP_REPS["plan_paper"],
-        lambda: {n: base_matrix(n, scale) for n in PLAN_PROBLEMS},
-    )
+    def build():
+        return {n: base_matrix(n, scale) for n in PLAN_PROBLEMS}
+
+    setup = []
+    mats = _setup(build, setup)
     ledger = Ledger()
     tracer.phase = "loop"
     passes, sweeps = [], []
@@ -487,27 +501,31 @@ def plan_paper(seed, seconds, scale, tracer, goldens=None) -> Result:
             A = fresh_values(mats[name], rng)
             rid = f"{len(passes)}:{name}"
             errs = []
+            table = t1 = None
+            t0 = time.perf_counter()
             try:
                 with tracer.span("op.plan", rid=rid):
-                    t0 = time.perf_counter()
                     chol = SparseCholesky(A, block_size=PLAN_BLOCK_SIZE)
                     t1 = time.perf_counter()
                     table = plan_sweep(chol)
-                    t2 = time.perf_counter()
-                t_pass += t2 - t0
+            except Exception as exc:  # noqa: BLE001 - counted, reported
+                errs.append(repr(exc))
+            t2 = time.perf_counter()
+            t_pass += t2 - t0
+            if t1 is not None:
                 t_sweep += t2 - t1
+            if table is not None:
                 if table != goldens[name]:
                     errs.append("simulated plan differs from the golden")
                 if not passes:
                     acc.add_structure(name, chol.symbolic, chol.taskgraph)
                     acc.add_plan(table)
-            except Exception as exc:  # noqa: BLE001 - counted, reported
-                errs.append(repr(exc))
             if ledger.record(f"plan {rid}", errs):
                 jobs += len(PLAN_P) * len(PLAN_MAPPINGS)
         passes.append(t_pass)
         sweeps.append(t_sweep)
         walls.append(time.perf_counter() - t_wall)
+        mats = _setup_again("plan_paper", build, setup, tracer)
     wall = time.perf_counter() - t_start
     tracer.phase = "done"
     layers = acc.plan_layers()
@@ -576,33 +594,12 @@ class _Accumulator:
 
     def oneshot_layers(self, passes: int, predicted) -> dict:
         out = self.structure_layers()
-        ms = self.mp
-
-        def tot(fn) -> float:
-            return _per(sum(fn(m) for m in ms), passes)
-
-        out.update({
-            "runtime.wall_s": (tot(lambda m: m.wall_s), "s"),
-            "runtime.busy_s": (tot(lambda m: m.busy.sum()), "s"),
-            "runtime.comm_s": (
-                tot(lambda m: sum(w.comm_s for w in m.workers)), "s"),
-            "runtime.idle_s": (tot(lambda m: m.idle_total_s), "s"),
-            "runtime.solve_busy_s": (
-                tot(lambda m: sum(w.solve_busy_s for w in m.workers)), "s"),
-            "runtime.messages": (tot(lambda m: m.messages_total), "count"),
-            "runtime.bytes": (tot(lambda m: m.bytes_total), "B"),
-            "runtime.wire_bytes": (tot(lambda m: m.wire_bytes_total), "B"),
-            "runtime.solve_messages": (
-                tot(lambda m: m.solve_messages_total), "count"),
-            "runtime.solve_bytes": (tot(lambda m: m.solve_bytes_total), "B"),
-            **_retry_layers(ms, passes),
-            "runtime.worker_peak_rss_mb": (_children_peak_mb(), "MB"),
-            "mapping.balance_bound": (
-                float(np.mean([v[2] for v in predicted.values()]))
-                if predicted else 0.0,
-                "ratio",
-            ),
-        })
+        out.update(runtime_layers(self.mp, passes))
+        out["mapping.balance_bound"] = (
+            float(np.mean([v[2] for v in predicted.values()]))
+            if predicted else 0.0,
+            "ratio",
+        )
         return out
 
     def plan_layers(self) -> dict:
@@ -617,16 +614,32 @@ class _Accumulator:
         return out
 
 
-def _retry_layers(metrics: list, n: int) -> dict:
-    def tot(attr) -> float:
-        return _per(
-            sum(getattr(w, attr) for m in metrics for w in m.workers), n
-        )
+def runtime_layers(metrics: list, divisor: int) -> dict:
+    """The ``RuntimeMetrics`` of a run's mp calls or pool jobs, summed
+    and divided by ``divisor`` (passes or service operations)."""
+
+    def per(fn) -> float:
+        return _per(sum(fn(m) for m in metrics), divisor)
+
+    def workers(attr) -> float:
+        return per(lambda m: sum(getattr(w, attr) for w in m.workers))
 
     return {
-        "runtime.renegotiations": (tot("renegotiations"), "count"),
-        "runtime.nacks": (tot("nacks_sent"), "count"),
-        "runtime.retransmits": (tot("retransmits"), "count"),
+        "runtime.wall_s": (per(lambda m: m.wall_s), "s"),
+        "runtime.busy_s": (per(lambda m: float(m.busy.sum())), "s"),
+        "runtime.comm_s": (workers("comm_s"), "s"),
+        "runtime.idle_s": (per(lambda m: m.idle_total_s), "s"),
+        "runtime.solve_busy_s": (workers("solve_busy_s"), "s"),
+        "runtime.messages": (per(lambda m: m.messages_total), "count"),
+        "runtime.bytes": (per(lambda m: m.bytes_total), "B"),
+        "runtime.wire_bytes": (per(lambda m: m.wire_bytes_total), "B"),
+        "runtime.solve_messages": (
+            per(lambda m: m.solve_messages_total), "count"),
+        "runtime.solve_bytes": (per(lambda m: m.solve_bytes_total), "B"),
+        "runtime.renegotiations": (workers("renegotiations"), "count"),
+        "runtime.nacks": (workers("nacks_sent"), "count"),
+        "runtime.retransmits": (workers("retransmits"), "count"),
+        "runtime.worker_peak_rss_mb": (_children_peak_mb(), "MB"),
     }
 
 
@@ -658,30 +671,7 @@ def _service_layers(entries, records, cold, cache) -> dict:
                  nops),
             "ratio",
         ),
-        "runtime.wall_s": (_per(sum(m.wall_s for m in metrics), nops), "s"),
-        "runtime.busy_s": (
-            _per(sum(float(m.busy.sum()) for m in metrics), nops), "s"),
-        "runtime.comm_s": (
-            _per(sum(w.comm_s for m in metrics for w in m.workers), nops),
-            "s"),
-        "runtime.idle_s": (
-            _per(sum(m.idle_total_s for m in metrics), nops), "s"),
-        "runtime.solve_busy_s": (
-            _per(sum(w.solve_busy_s for m in metrics for w in m.workers),
-                 nops), "s"),
-        "runtime.messages": (
-            _per(sum(m.messages_total for m in metrics), nops), "count"),
-        "runtime.bytes": (
-            _per(sum(m.bytes_total for m in metrics), nops), "B"),
-        "runtime.wire_bytes": (
-            _per(sum(m.wire_bytes_total for m in metrics), nops), "B"),
-        "runtime.solve_messages": (
-            _per(sum(m.solve_messages_total for m in metrics), nops),
-            "count"),
-        "runtime.solve_bytes": (
-            _per(sum(m.solve_bytes_total for m in metrics), nops), "B"),
-        **_retry_layers(metrics, nops),
-        "runtime.worker_peak_rss_mb": (_children_peak_mb(), "MB"),
+        **runtime_layers(metrics, nops),
         "mapping.balance_bound": (
             float(np.mean([
                 overall_balance_from_owners(e.tg.workmodel, e.owners, NPROCS)
