@@ -200,6 +200,7 @@ def oneshot(seed, seconds, scale, tracer) -> Result:
     acc = _Accumulator()
     predicted = {}
     walls = []
+    calls = {n: [] for n in ONESHOT_PROBLEMS}
     t_start = time.perf_counter()
     while _another(t_start, seconds, walls):
         t_pass = time.perf_counter()
@@ -236,7 +237,9 @@ def oneshot(seed, seconds, scale, tracer) -> Result:
                     x2 = par.solve(b)
             except Exception as exc:  # noqa: BLE001 - counted, reported
                 errs.append(repr(exc))
-            t_mp += time.perf_counter() - t0
+            dt = time.perf_counter() - t0
+            t_mp += dt
+            calls[name].append(round(dt, 3))
             if x2 is not None:
                 errs += _check_mp(par, M, b, x2, seq, x, predicted, name)
                 acc.mp.append(par.runtime_metrics)
@@ -252,7 +255,8 @@ def oneshot(seed, seconds, scale, tracer) -> Result:
     layers = acc.oneshot_layers(len(seq_pass), predicted)
     seq_s, mp_s = statistics.fmean(seq_pass), statistics.fmean(mp_pass)
     info = {"speedup": f"seq/mp = {seq_s:.4f} s / {mp_s:.4f} s "
-                       f"= {_per(seq_s, mp_s):.3f} (not gated)"}
+                       f"= {_per(seq_s, mp_s):.3f} (not gated)",
+            "mp_calls": calls}
     return Result(mp_pass, seq_pass, ledger.attempted - ledger.failed,
                   wall, setup, ledger, layers, info)
 
