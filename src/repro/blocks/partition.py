@@ -14,6 +14,14 @@ from repro.symbolic.structure import SymbolicFactor
 from repro.util.arrays import INDEX_DTYPE
 
 
+def even_widths(w: int, B: int) -> list[int]:
+    """Split ``w`` columns into ``ceil(w / B)`` (at least one) panels as
+    evenly as possible: widths differ by at most one."""
+    npanels = max(1, -(-w // B))
+    base, extra = divmod(w, npanels)
+    return [base + (1 if k < extra else 0) for k in range(npanels)]
+
+
 class BlockPartition:
     """Partition of columns 0..n-1 into N contiguous panels.
 
@@ -38,27 +46,31 @@ class BlockPartition:
         if block_size < 1:
             raise ValueError("block_size must be positive")
         self.block_size = block_size
+        self._split(sf)
+
+    def _panel_widths(self, s: int, w: int) -> list[int]:
+        """Panel widths for supernode ``s`` of width ``w`` (sum == w).
+        Subclasses override this and nothing else of the splitting."""
+        return even_widths(w, self.block_size)
+
+    def _split(self, sf: SymbolicFactor) -> None:
+        """Cut every supernode into the panels :meth:`_panel_widths` names."""
         self.symbolic = sf
         boundaries: list[int] = [0]
         snode_ids: list[int] = []
         ptr = sf.snode_ptr
         for s in range(sf.nsupernodes):
             a, b = int(ptr[s]), int(ptr[s + 1])
-            w = b - a
-            npanels = max(1, -(-w // block_size))  # ceil
-            # Split as evenly as possible: widths differ by at most one.
-            base, extra = divmod(w, npanels)
             pos = a
-            for k in range(npanels):
-                pos += base + (1 if k < extra else 0)
+            for width in self._panel_widths(s, b - a):
+                pos += width
                 boundaries.append(pos)
                 snode_ids.append(s)
             assert pos == b
         self._set_panels(boundaries, snode_ids)
 
     def _set_panels(self, boundaries: list[int], snode_ids: list[int]) -> None:
-        """Finalize panel arrays from boundary/supernode lists (shared with
-        subclasses that build their own boundaries)."""
+        """Finalize panel arrays from boundary/supernode lists."""
         self.panel_ptr = np.asarray(boundaries, dtype=INDEX_DTYPE)
         self.panel_snode = np.asarray(snode_ids, dtype=INDEX_DTYPE)
         n = self.symbolic.n

@@ -35,8 +35,6 @@ the service derive identical layouts from the same (policy, knobs) tuple.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.blocks.partition import BlockPartition
 from repro.symbolic.structure import SymbolicFactor
 
@@ -82,23 +80,9 @@ class SupernodalPartition(BlockPartition):
         # ``block_size`` doubles as the effective width cap for layers that
         # report a single scalar (traces, bench metadata).
         self.block_size = self.max_width
-        self.symbolic = sf
-        boundaries: list[int] = [0]
-        snode_ids: list[int] = []
-        ptr = sf.snode_ptr
-        for s in range(sf.nsupernodes):
-            a, b = int(ptr[s]), int(ptr[s + 1])
-            w = b - a
-            pos = a
-            for width in self._panel_widths(w):
-                pos += width
-                boundaries.append(pos)
-                snode_ids.append(s)
-            assert pos == b
-        self._set_panels(boundaries, snode_ids)
+        self._split(sf)
 
-    def _panel_widths(self, w: int) -> list[int]:
-        """Panel widths for one supernode of width ``w`` (sum == w)."""
+    def _panel_widths(self, s: int, w: int) -> list[int]:
         if w <= self.max_width:
             return [w]
         full, r = divmod(w, self.max_width)

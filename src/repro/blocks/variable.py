@@ -21,11 +21,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from repro.blocks.partition import BlockPartition
+from repro.blocks.partition import BlockPartition, even_widths
 from repro.symbolic.structure import SymbolicFactor
-from repro.util.arrays import INDEX_DTYPE
 
 #: A policy maps (snode_depth, snode_width) -> panel width for that supernode.
 SizePolicy = Callable[[int, int], int]
@@ -60,37 +57,18 @@ class VariableBlockPartition(BlockPartition):
     """Panel partition whose width varies per supernode via a policy.
 
     Subclasses :class:`BlockPartition` so the entire block/fan-out stack
-    accepts it unchanged; only the splitting loop differs.
+    accepts it unchanged; only the panel widths differ.
     """
 
     def __init__(self, sf: SymbolicFactor, policy: SizePolicy):
-        # Deliberately do NOT call super().__init__ — we replace the
-        # splitting loop but keep the same attribute contract.
         self.block_size = -1  # sentinel: variable
         self.policy = policy
-        self.symbolic = sf
-        snode_depth = sf.depth[sf.snode_ptr[:-1]]
-        boundaries: list[int] = [0]
-        snode_ids: list[int] = []
-        ptr = sf.snode_ptr
-        for s in range(sf.nsupernodes):
-            a, b = int(ptr[s]), int(ptr[s + 1])
-            w = b - a
-            B = max(1, int(self.policy(int(snode_depth[s]), w)))
-            npanels = max(1, -(-w // B))
-            base, extra = divmod(w, npanels)
-            pos = a
-            for k in range(npanels):
-                pos += base + (1 if k < extra else 0)
-                boundaries.append(pos)
-                snode_ids.append(s)
-            assert pos == b
-        self.panel_ptr = np.asarray(boundaries, dtype=INDEX_DTYPE)
-        self.panel_snode = np.asarray(snode_ids, dtype=INDEX_DTYPE)
-        n = sf.n
-        marks = np.zeros(n, dtype=INDEX_DTYPE)
-        marks[self.panel_ptr[1:-1]] = 1
-        self.panel_of_col = np.cumsum(marks)
+        self._split(sf)
+
+    def _panel_widths(self, s: int, w: int) -> list[int]:
+        sf = self.symbolic
+        B = max(1, int(self.policy(int(sf.depth[sf.snode_ptr[s]]), w)))
+        return even_widths(w, B)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VariableBlockPartition(N={self.npanels})"

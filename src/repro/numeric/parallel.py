@@ -9,7 +9,10 @@ the shared-memory analogue of the paper's message-passing method, with the
 same dependency structure the tests already proved correct.
 
 Per-destination-block locks serialize BMODs into the same block (the role
-the owning processor plays in the distributed method).
+the owning processor plays in the distributed method). While the executor
+runs, the process's BLAS is capped at its share of the CPUs per thread
+(:mod:`repro.numeric.blas_threads`), so ``nthreads`` concurrent kernels do
+not each start a full-width BLAS thread pool.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
 from repro.fanout.tasks import BDIV, BFAC, BMOD, TaskGraph
+from repro.numeric.blas_threads import limit_blas_threads, thread_budget
 from repro.numeric.blockfact import BlockCholesky
 
 
@@ -129,11 +133,11 @@ def parallel_block_cholesky(
 
     diag = tg.block_I == tg.block_J
     seeds = [int(tg.bfac_task[int(b)]) for b in np.flatnonzero(diag & (tg.nmod == 0))]
-    for tid in seeds:
-        submit(tid)
-
-    done.wait()
-    pool.shutdown(wait=True)
+    with limit_blas_threads(thread_budget(nthreads)):
+        for tid in seeds:
+            submit(tid)
+        done.wait()
+        pool.shutdown(wait=True)
     if error:
         raise error[0]
     if remaining[0] != 0:

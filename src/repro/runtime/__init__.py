@@ -16,10 +16,13 @@ Layers: :mod:`~repro.runtime.wire` (block serialization, CRC32 integrity),
 :mod:`~repro.runtime.links` (the interconnect stand-in, frame coalescing),
 :mod:`~repro.runtime.scheduler` (per-worker ready queues),
 :mod:`~repro.runtime.worker` (the event loop),
-:mod:`~repro.runtime.engine` (process orchestration),
-:mod:`~repro.runtime.pool` (persistent worker pool for :mod:`repro.service`),
+:mod:`~repro.runtime.pool` (the process driver: a worker pool that runs
+jobs, resident for :mod:`repro.service`),
+:mod:`~repro.runtime.engine` (one-shot runs: one job on a pool that closes
+itself),
 :mod:`~repro.runtime.faults` (deterministic chaos injection),
-:mod:`~repro.runtime.recovery` (checkpoint/restart + sequential fallback),
+:mod:`~repro.runtime.recovery` (checkpoint/restart attempts on one pool +
+sequential fallback),
 :mod:`~repro.runtime.trace` (always-available structured event tracing),
 :mod:`~repro.runtime.metrics` and :mod:`~repro.runtime.validation`.
 """
@@ -53,9 +56,7 @@ from repro.runtime.metrics import RuntimeMetrics, WorkerMetrics
 from repro.runtime.pool import (
     JobOutcome,
     PatternContext,
-    PoolError,
     PoolJob,
-    PoolTimeoutError,
     WorkerPool,
 )
 from repro.runtime.recovery import (
@@ -118,8 +119,6 @@ __all__ = [
     "WorkerResult",
     "JobOutcome",
     "PatternContext",
-    "PoolError",
     "PoolJob",
-    "PoolTimeoutError",
     "WorkerPool",
 ]

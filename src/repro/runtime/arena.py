@@ -38,7 +38,7 @@ payload and the next slot's offset is the arena's only dead space, and
 ``ArenaLayout.padding_bytes`` reports it.
 
 Lifecycle: the driver creates the arena (:meth:`BlockArena.create`) and
-unlinks it in the engine's ``finally`` (:meth:`BlockArena.destroy`), even
+unlinks it in a ``finally`` (:meth:`BlockArena.destroy`), even
 on crash/abort paths — workers only ever attach (:meth:`BlockArena.attach`)
 and never unlink, so no ``/dev/shm`` segment outlives a run.
 """
@@ -61,7 +61,7 @@ __all__ = [
     "SLOT_ALIGN",
 ]
 
-#: Accepted values for the engine's ``transport`` parameter.
+#: Accepted values for the runtime's ``transport`` parameter.
 TRANSPORTS = ("auto", "shm", "inline")
 
 #: Every slot offset is a multiple of this (bytes). 64 = one cache line;

@@ -1,22 +1,25 @@
-"""Driver for the multiprocess message-passing fan-out runtime.
+"""One-shot multiprocess fan-out: one job on a pool that closes itself.
 
-``run_mp_fanout`` spawns one OS process per logical processor, hands each
-its share of the block map, lets them factor by exchanging real messages
-(:mod:`repro.runtime.worker`), then gathers the owned factor blocks and
-per-worker metrics. ``plan_owners`` turns the mapping names used everywhere
-else in the repo (``"cyclic"``, ``"DW/CY"``, ...) into a block ownership
-array, so the exact configurations studied by the simulator and the balance
-metrics can be executed for real and timed.
+``run_mp_fanout`` factors one matrix (and optionally solves with it) on a
+:class:`~repro.runtime.pool.WorkerPool` of ``nprocs`` workers: it builds
+the job's :class:`~repro.runtime.pool.PatternContext` and
+:class:`~repro.runtime.pool.PoolJob`, runs that single job, closes the
+pool, and turns the job's outcome into an :class:`MPRuntimeResult` — the
+assembled factor plus metrics — or into a typed :class:`FanoutError`
+carrying every result the workers shipped home. The pool is the only
+process driver; this module adds no spawn or collect loop of its own.
+``plan_owners`` turns the mapping names used everywhere else in the repo
+(``"cyclic"``, ``"DW/CY"``, ...) into a block ownership array, so the
+exact configurations studied by the simulator and the balance metrics can
+be executed for real and timed.
 
-Robustness: workers that raise broadcast ABORT frames; the driver enforces
-a global deadline, joins every child, and terminates stragglers — no orphan
-processes on success, failure, or deadlock.
+Robustness: workers that raise broadcast ABORT frames; the pool enforces
+a global deadline, notices dead processes, and reaps every child — no
+orphan processes on success, failure, or deadlock.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 
@@ -31,10 +34,17 @@ from repro.fanout.tasks import TaskGraph
 from repro.mapping import best_grid, cyclic_map, heuristic_map, square_grid
 from repro.numeric.blockfact import BlockCholesky
 from repro.runtime import wire
-from repro.runtime.links import LinkFabric
-from repro.runtime.metrics import RuntimeMetrics, WorkerMetrics
+from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.pool import JobOutcome, PatternContext, PoolJob, WorkerPool
 from repro.runtime.trace import DEFAULT_CAPACITY, RunTrace
-from repro.runtime.worker import worker_main
+
+#: :func:`run_mp_fanout` keywords that configure the pool (every worker
+#: and the driver's dead-worker grace) rather than the job.
+POOL_SETTINGS = (
+    "start_method", "poll_s", "stall_timeout_s", "record_timeline",
+    "dead_grace_s", "renegotiate_base_s", "renegotiate_cap_s",
+    "max_renegotiations", "retransmit_limit",
+)
 
 
 class FanoutError(RuntimeError):
@@ -94,6 +104,14 @@ class MPRuntimeResult:
         return self.factor.to_csc()
 
 
+def _runtime_grid(nprocs: int):
+    """The processor grid ``nprocs`` workers are mapped onto."""
+    try:
+        return square_grid(nprocs)
+    except ValueError:
+        return best_grid(nprocs)
+
+
 def plan_owners(
     wm,
     tg: TaskGraph,
@@ -107,10 +125,7 @@ def plan_owners(
     (``DW``, ``IN``, ``DN``, ``ID`` x ``CY``, ...) exactly as accepted by
     the CLI and :meth:`repro.solver.SparseCholesky.plan_parallel`.
     """
-    try:
-        grid = square_grid(nprocs)
-    except ValueError:
-        grid = best_grid(nprocs)
+    grid = _runtime_grid(nprocs)
     if mapping == "cyclic":
         cmap = cyclic_map(tg.npanels, grid)
     else:
@@ -132,7 +147,6 @@ def run_mp_fanout(
     timeout_s: float = 300.0,
     stall_timeout_s: float = 30.0,
     poll_s: float = 0.002,
-    inject_failure: tuple[int, int] | None = None,
     record_timeline: bool = True,
     trace: bool | int | None = None,
     start_method: str | None = None,
@@ -169,24 +183,24 @@ def run_mp_fanout(
     the factor stays bitwise identical (see ``docs/SCHEDULING.md``).
     ``steal_seed`` keys the deterministic victim-selection stream.
 
-    ``transport`` selects how block payloads travel: ``"inline"`` packs
-    them into the queue frames; ``"shm"`` moves them through a per-run
-    shared-memory arena (64-byte descriptor frames, zero payload copies on
-    the consumer side, coalesced queue puts); ``"auto"`` (the default)
-    picks shm when the platform supports it and there is more than one
-    worker. Logical message/byte accounting is identical across transports
-    — only ``wire_bytes`` metrics differ. The arena is unlinked in every
-    exit path; salvaged checkpoint frames carried by a raised
-    :class:`FanoutError` are converted to inline frames first so they
-    outlive the arena.
+    ``transport`` selects how block payloads travel between workers:
+    ``"inline"`` packs them into the queue frames; ``"shm"`` moves them
+    through a per-run shared-memory arena (64-byte descriptor frames, zero
+    payload copies on the consumer side, coalesced queue puts); ``"auto"``
+    (the default) picks shm when the platform supports it and there is
+    more than one worker. Logical message/byte accounting is identical
+    across transports — only ``wire_bytes`` metrics differ. The arena is
+    unlinked in every exit path; frames bound for the driver (the gather
+    and salvaged checkpoints) always carry their payload inline, so they
+    outlive it.
 
     ``owners[b]`` assigns block ``b`` to a worker (see :func:`plan_owners`).
     ``policy`` is a :mod:`repro.fanout.priorities` name (``"fifo"``,
     ``"column"``, ``"depth"``, ``"bottom_level"``) applied identically on
     every worker; an explicit ``priorities`` array wins over ``policy``.
-    ``inject_failure=(rank, after_n_tasks)`` is the fault-injection hook the
-    shutdown tests use; ``fault_plan`` (:class:`repro.runtime.faults.FaultPlan`)
-    is the full chaos layer. ``trace`` turns on structured event tracing
+    ``fault_plan`` (:class:`repro.runtime.faults.FaultPlan`) is the chaos
+    layer; its ``CrashSpec`` entries are the crash hook the shutdown tests
+    use. ``trace`` turns on structured event tracing
     (:mod:`repro.runtime.trace`): ``True`` uses the default per-worker
     ring capacity, an int sets it; the merged
     :class:`~repro.runtime.trace.RunTrace` lands on the result's
@@ -196,18 +210,72 @@ def run_mp_fanout(
     DONE linger barrier); it defaults to on exactly when a fault plan is
     given. ``checkpoint`` maps block ids to completed-block wire frames
     from a previous attempt; those blocks are preloaded and their tasks
-    skipped. Raises :class:`WorkerError` if any worker fails,
+    skipped. The keywords in :data:`POOL_SETTINGS` configure the
+    :class:`~repro.runtime.pool.WorkerPool` the job runs on.
+
+    ``metrics.wall_s`` covers everything the caller waits for: starting
+    the workers, the factor (and solve), and assembling the result.
+    Raises :class:`WorkerError` if any worker fails,
     :class:`DeadWorkerError` if one dies without reporting (after waiting
     up to ``dead_grace_s`` for surviving workers' checkpoints), and
     :class:`RuntimeTimeoutError` on a global timeout; in every case all
     child processes are reaped before returning or raising, and the raised
     :class:`FanoutError` carries every salvaged ``WorkerResult``.
     """
+    pool = WorkerPool(
+        nprocs,
+        start_method=start_method,
+        poll_s=poll_s,
+        stall_timeout_s=stall_timeout_s,
+        record_timeline=record_timeline,
+        dead_grace_s=dead_grace_s,
+        renegotiate_base_s=renegotiate_base_s,
+        renegotiate_cap_s=renegotiate_cap_s,
+        max_renegotiations=max_renegotiations,
+        retransmit_limit=retransmit_limit,
+    )
+    try:
+        return run_on_pool(
+            pool, structure, A, tg, owners,
+            priorities=priorities, policy=policy, depth=depth,
+            timeout_s=timeout_s, trace=trace, mapping=mapping,
+            fault_plan=fault_plan, recovery=recovery,
+            checkpoint=checkpoint, transport=transport, schedule=schedule,
+            steal_seed=steal_seed, rhs=rhs,
+        )
+    finally:
+        pool.close()
+
+
+def run_on_pool(
+    pool: WorkerPool,
+    structure: BlockStructure,
+    A: sparse.spmatrix,
+    tg: TaskGraph,
+    owners: np.ndarray,
+    priorities: np.ndarray | None = None,
+    policy: str | None = None,
+    depth: np.ndarray | None = None,
+    timeout_s: float = 300.0,
+    trace: bool | int | None = None,
+    mapping: str = "",
+    fault_plan=None,
+    recovery: bool | None = None,
+    checkpoint: dict[int, bytes] | None = None,
+    transport: str = "auto",
+    schedule: str = "static",
+    steal_seed: int = 0,
+    rhs: np.ndarray | None = None,
+    seq: int = 0,
+) -> MPRuntimeResult:
+    """Run one factor job on ``pool`` (started here if it is not running)
+    with :func:`run_mp_fanout`'s job arguments; ``seq`` must exceed the
+    seq of any earlier job on the same crew."""
+    t0 = time.perf_counter()
+    nprocs = pool.nprocs
     owners = np.asarray(owners)
     if owners.shape[0] != tg.nblocks:
         raise ValueError("owners must have one entry per block")
-    if nprocs < 1:
-        raise ValueError("nprocs must be positive")
     if owners.size and (owners.min() < 0 or owners.max() >= nprocs):
         raise ValueError("block owner out of range for nprocs")
     if schedule not in ("static", "dynamic"):
@@ -226,7 +294,6 @@ def run_mp_fanout(
         trace_capacity = int(trace)
         if trace_capacity < 0:
             raise ValueError("trace capacity must be non-negative")
-
     if rhs is not None:
         rhs = np.ascontiguousarray(rhs, dtype=np.float64)
         if rhs.ndim == 1:
@@ -236,142 +303,53 @@ def run_mp_fanout(
                 f"rhs must be ({A.shape[0]}, nrhs), got {rhs.shape}"
             )
 
-    if start_method is None:
-        start_method = (
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
     from repro.runtime.arena import BlockArena, resolve_transport
 
+    A = sparse.csc_matrix(A)
     transport = resolve_transport(transport, nprocs)
     arena = BlockArena.create(tg) if transport == "shm" else None
     try:
-        return _run(
-            structure, A, tg, owners, nprocs, priorities, timeout_s,
-            stall_timeout_s, poll_s, inject_failure, record_timeline,
-            trace_capacity, start_method, mapping, fault_plan, recovery,
-            checkpoint, dead_grace_s, renegotiate_base_s,
-            renegotiate_cap_s, max_renegotiations, retransmit_limit,
-            transport, arena, schedule, steal_seed, rhs,
+        context = PatternContext(
+            pattern_id="run",
+            structure=structure,
+            tg=tg,
+            owners=owners,
+            priorities=priorities,
+            indptr=A.indptr,
+            indices=A.indices,
+            shape=tuple(A.shape),
+            arena_name=None if arena is None else arena.name,
+            schedule=schedule,
+            steal_seed=steal_seed,
         )
-    except FanoutError as exc:
-        if arena is not None:
-            _inline_results(exc.results, arena)
-        raise
+        job = PoolJob(
+            seq=seq,
+            pattern_id=context.pattern_id,
+            values=A.data,
+            context=context,
+            trace_capacity=trace_capacity,
+            fault_plan=fault_plan,
+            rhs=rhs,
+            recovery=recovery,
+            checkpoint=checkpoint,
+        )
+        out = pool.run_batch([job], timeout_s=timeout_s)[seq]
     finally:
         if arena is not None:
             arena.destroy()
-
-
-def _run(
-    structure, A, tg, owners, nprocs, priorities, timeout_s,
-    stall_timeout_s, poll_s, inject_failure, record_timeline,
-    trace_capacity, start_method, mapping, fault_plan, recovery,
-    checkpoint, dead_grace_s, renegotiate_base_s, renegotiate_cap_s,
-    max_renegotiations, retransmit_limit, transport, arena,
-    schedule="static", steal_seed=0, rhs=None,
-) -> MPRuntimeResult:
-    ctx = mp.get_context(start_method)
-    fabric = LinkFabric(nprocs, ctx)
-    result_queue = ctx.Queue()
-    epoch = time.perf_counter()
-    op_fixed_cost = getattr(tg.workmodel, "op_fixed_cost", 1000)
-
-    procs = []
-    for rank in range(nprocs):
-        kwargs = dict(
-            structure=structure,
-            A=A,
-            tg=tg,
-            owners=owners,
-            fabric=fabric,
-            result_queue=result_queue,
-            priorities=priorities,
-            epoch=epoch,
-            poll_s=poll_s,
-            stall_timeout_s=stall_timeout_s,
-            inject_failure=inject_failure,
-            record_timeline=record_timeline,
-            trace_capacity=trace_capacity,
-            op_fixed_cost=op_fixed_cost,
-            fault_plan=fault_plan,
-            recovery=recovery,
-            checkpoint=checkpoint,
-            renegotiate_base_s=renegotiate_base_s,
-            renegotiate_cap_s=renegotiate_cap_s,
-            max_renegotiations=max_renegotiations,
-            retransmit_limit=retransmit_limit,
-            transport=transport,
-            arena_name=arena.name if arena is not None else None,
-            schedule=schedule,
-            steal_seed=steal_seed,
-            rhs=rhs,
-        )
-        p = ctx.Process(
-            target=worker_main, args=(rank, kwargs), name=f"repro-mp-{rank}"
-        )
-        p.daemon = True
-        p.start()
-        procs.append(p)
-
-    results: dict[int, object] = {}
-    deadline = time.monotonic() + timeout_s
-    dead_deadline: float | None = None
-    try:
-        while len(results) < nprocs:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RuntimeTimeoutError(
-                    f"runtime timeout after {timeout_s:.0f}s: "
-                    f"{len(results)}/{nprocs} workers reported",
-                    results=results,
-                    failed_ranks=[
-                        r for r in range(nprocs) if r not in results
-                    ],
-                )
-            try:
-                res = result_queue.get(timeout=min(0.1, remaining))
-                results[res.rank] = res
-            except queue_mod.Empty:
-                dead = [
-                    r for r, p in enumerate(procs)
-                    if not p.is_alive() and p.exitcode not in (0, None)
-                    and r not in results
-                ]
-                if dead and len(results) < nprocs:
-                    # A worker died without reporting (kill/segfault).
-                    # Optionally linger so surviving workers can notice,
-                    # abort, and ship their completed-block checkpoints.
-                    now = time.monotonic()
-                    if dead_deadline is None:
-                        dead_deadline = now + dead_grace_s
-                    survivors_pending = nprocs - len(results) - len(dead)
-                    if now >= dead_deadline or survivors_pending <= 0:
-                        raise DeadWorkerError(
-                            "worker process(es) died without reporting: "
-                            f"{[f'repro-mp-{r}' for r in dead]}",
-                            results=results,
-                            failed_ranks=dead,
-                        )
-        wall_s = time.perf_counter() - epoch
-    finally:
-        _reap(procs)
-        fabric.shutdown()
-        result_queue.cancel_join_thread()
-        result_queue.close()
-
-    error_ranks = [
-        r for r in sorted(results) if results[r].metrics.error is not None
-    ]
-    if error_ranks:
-        first = error_ranks[0]
-        raise WorkerError(
-            first,
-            results[first].metrics.error,
-            results=results,
-            failed_ranks=error_ranks,
-        )
-
-    factor = _assemble(structure, A, tg, results, arena)
+    if not out.ok:
+        _raise_failure(out, nprocs, pool.last_error)
+    results = out.results
+    factor = _assemble(structure, A, tg, results)
+    solution = None
+    if rhs is not None:
+        solution = _assemble_solution(structure, rhs, results)
+        if solution is None:
+            raise FanoutError(
+                "solve gather incomplete: some solution rows were not "
+                "reported", results=results,
+            )
+    wall_s = time.perf_counter() - t0
     metrics = RuntimeMetrics(
         nprocs=nprocs,
         wall_s=wall_s,
@@ -380,23 +358,19 @@ def _run(
         transport=transport,
         schedule=schedule,
     )
-    solution = None
-    if rhs is not None:
-        solution = _assemble_solution(structure, rhs, results)
     run_trace = None
     if trace_capacity:
         nrhs = int(rhs.shape[1]) if rhs is not None else 0
-        run_trace = _merge_trace(results, nprocs, mapping, start_method,
-                                 fault_plan, wall_s, schedule, nrhs)
+        run_trace = _merge_trace(results, nprocs, mapping,
+                                 pool.start_method, fault_plan, wall_s,
+                                 schedule, nrhs)
     meta = {
-        "start_method": start_method,
+        "start_method": pool.start_method,
         "recovery": recovery,
         "checkpoint_blocks": len(checkpoint) if checkpoint else 0,
         "transport": transport,
         "schedule": schedule,
-        "block_policy": getattr(
-            structure.partition, "policy_name", "uniform"
-        ),
+        "block_policy": structure.partition.policy_name,
     }
     if rhs is not None:
         meta["nrhs"] = int(rhs.shape[1])
@@ -411,12 +385,32 @@ def _run(
     )
 
 
-def _runtime_grid(nprocs: int):
-    """The processor grid :func:`plan_owners` would use for ``nprocs``."""
-    try:
-        return square_grid(nprocs)
-    except ValueError:
-        return best_grid(nprocs)
+def _raise_failure(out: JobOutcome, nprocs: int, pool_error: str | None):
+    """Raise the typed :class:`FanoutError` a failed job outcome maps to;
+    each carries every result the workers shipped home."""
+    results = out.results
+    if out.broken == "timeout":
+        raise RuntimeTimeoutError(
+            f"runtime timeout ({pool_error}): "
+            f"{len(results)}/{nprocs} workers reported",
+            results=results, failed_ranks=out.lost_ranks,
+        )
+    if out.broken == "dead":
+        raise DeadWorkerError(
+            pool_error, results=results, failed_ranks=out.lost_ranks
+        )
+    error_ranks = [
+        r for r in sorted(results) if results[r].metrics.error is not None
+    ]
+    if error_ranks:
+        first = error_ranks[0]
+        raise WorkerError(
+            first,
+            results[first].metrics.error,
+            results=results,
+            failed_ranks=error_ranks,
+        )
+    raise FanoutError(out.error or "run aborted", results=results)
 
 
 def _merge_trace(results, nprocs, mapping, start_method, fault_plan,
@@ -443,25 +437,10 @@ def _merge_trace(results, nprocs, mapping, start_method, fault_plan,
     )
 
 
-def _reap(procs, grace_s: float = 5.0) -> None:
-    """Join every child; terminate (then kill) any that linger."""
-    deadline = time.monotonic() + grace_s
-    for p in procs:
-        p.join(timeout=max(0.0, deadline - time.monotonic()))
-    for p in procs:
-        if p.is_alive():
-            p.terminate()
-            p.join(timeout=1.0)
-    for p in procs:
-        if p.is_alive():  # pragma: no cover - last resort
-            p.kill()
-            p.join(timeout=1.0)
-        p.close()
-
-
-def _assemble_solution(structure, rhs, results) -> np.ndarray:
+def _assemble_solution(structure, rhs, results) -> np.ndarray | None:
     """Stack the workers' owned solution panels into the full ``n x nrhs``
-    solution (permuted coordinates; the caller un-permutes)."""
+    solution (permuted coordinates; the caller un-permutes). None when
+    any rows are missing, so no caller releases a partial answer."""
     ptr = np.asarray(structure.partition.panel_ptr, dtype=np.int64)
     x = np.empty_like(rhs)
     seen = 0
@@ -470,45 +449,23 @@ def _assemble_solution(structure, rhs, results) -> np.ndarray:
             x[int(ptr[k]) : int(ptr[k + 1])] = panel
             seen += int(ptr[k + 1] - ptr[k])
     if seen != rhs.shape[0]:
-        raise FanoutError(
-            f"solve gather incomplete: {seen}/{rhs.shape[0]} rows "
-            "reported", results=results,
-        )
+        return None
     return x
 
 
-def _inline_results(results: dict, arena) -> None:
-    """Rewrite ref frames in salvaged results as inline frames (the
-    checkpoint they feed must outlive the arena being destroyed)."""
-    for res in results.values():
-        res.frames = [arena.inline_frame(f) for f in res.frames]
-
-
-def _assemble(structure, A, tg, results, arena=None) -> BlockCholesky:
-    """Overwrite a factor shell with the gathered owned blocks.
-
-    On the shm transport the gather frames are descriptors; the payload is
-    copied out of the (still-live) arena here — the driver's only copy.
-    """
+def _assemble(structure, A, tg, results) -> BlockCholesky:
+    """Overwrite a factor shell with the gathered owned blocks (inline
+    frames, so no arena needs to be alive)."""
     shell = BlockCholesky(structure, A)
     for res in results.values():
         for frame in res.frames:
             msg = wire.unpack(frame)
             b = msg.block
-            if msg.kind == wire.BLOCK_REF:
-                if arena is None:
-                    raise RuntimeError(
-                        f"gathered a BLOCK_REF frame for block {b} "
-                        "without a live arena"
-                    )
-                payload = arena.read(b)
-            else:
-                payload = msg.payload
             I, J = int(tg.block_I[b]), int(tg.block_J[b])
             if I == J:
-                shell.diag[J] = payload
+                shell.diag[J] = msg.payload
             else:
-                shell.below[J][I] = payload
+                shell.below[J][I] = msg.payload
     shell._factored[:] = True
     return shell
 

@@ -156,6 +156,11 @@ class LinkFabric:
     Created in the driver process (the queues must exist before fork/spawn)
     and shipped to every worker; a worker then asks for its
     :meth:`outgoing` links and its own :meth:`inbox`.
+
+    :attr:`progress` holds one shared task counter per worker, bumped by
+    its owner only. A worker waiting on a missing block reads its peers'
+    counters: a peer whose counter moves is busy, not lost, so the
+    recovery protocol does not NACK it.
     """
 
     def __init__(self, nprocs: int, ctx):
@@ -163,6 +168,7 @@ class LinkFabric:
             raise ValueError("nprocs must be positive")
         self.nprocs = nprocs
         self.inboxes = [ctx.Queue() for _ in range(nprocs)]
+        self.progress = ctx.RawArray("q", nprocs)
 
     def inbox(self, rank: int):
         return self.inboxes[rank]

@@ -13,6 +13,8 @@ JSON, or rendered as an ASCII chart via :mod:`repro.util.ascii_chart`.
 from __future__ import annotations
 
 import json
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +28,71 @@ CATEGORIES = ("busy", "comm", "idle", "solve_busy", "solve_comm",
               "solve_idle")
 
 
+class Timeline(Sequence):
+    """A sequence of ``(category, start, end)`` segments, stored as one
+    category code byte and two float64s per segment.
+
+    A medium GRID150 run records thousands of segments per worker; as
+    tuples of Python objects they cost ~120 B each (~1.7 MB per P=2 call,
+    kept by every caller that keeps the metrics), here 17 B.
+    """
+
+    __slots__ = ("_cats", "_bounds")
+
+    def __init__(self, segments=()):
+        self._cats = bytearray()
+        self._bounds = array("d")
+        for category, start, end in segments:
+            self.append(category, start, end)
+
+    def copy(self) -> "Timeline":
+        out = Timeline()
+        out._cats = bytearray(self._cats)
+        out._bounds = array("d", self._bounds)
+        return out
+
+    def append(self, category: str, start: float, end: float) -> None:
+        self._cats.append(CATEGORIES.index(category))
+        self._bounds.extend((start, end))
+
+    def extend_last(self, category: str, start: float, end: float) -> bool:
+        """Stretch the last segment to ``end`` when it has ``category``
+        and ends where this one starts; report whether it did."""
+        if (self._cats and self._cats[-1] == CATEGORIES.index(category)
+                and start - self._bounds[-1] < 1e-7):
+            self._bounds[-1] = end
+            return True
+        return False
+
+    def __len__(self) -> int:
+        return len(self._cats)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("timeline index out of range")
+        return (CATEGORIES[self._cats[i]], self._bounds[2 * i],
+                self._bounds[2 * i + 1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Timeline({list(self)!r})"
+
+
 class TimelineRecorder:
     """Accumulates (category, start, end) segments, merging adjacent
     segments of the same category (keeps timelines compact)."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.segments: list[tuple[str, float, float]] = []
+        self.segments = Timeline()
         self.totals = {c: 0.0 for c in CATEGORIES}
 
     def add(self, category: str, start: float, end: float) -> None:
@@ -41,12 +101,8 @@ class TimelineRecorder:
         self.totals[category] += end - start
         if not self.enabled:
             return
-        if self.segments:
-            last_cat, last_start, last_end = self.segments[-1]
-            if last_cat == category and start - last_end < 1e-7:
-                self.segments[-1] = (category, last_start, end)
-                return
-        self.segments.append((category, start, end))
+        if not self.segments.extend_last(category, start, end):
+            self.segments.append(category, start, end)
 
 
 @dataclass
@@ -76,7 +132,7 @@ class WorkerMetrics:
     wire_bytes_received: int = 0
     #: Per-link traffic this worker sent: ``{dst_rank: [messages, bytes]}``.
     links: dict[int, list[int]] = field(default_factory=dict)
-    timeline: list[tuple[str, float, float]] = field(default_factory=list)
+    timeline: Timeline = field(default_factory=Timeline)
     error: str | None = None
     aborted: bool = False
     # ------------------------------------------------------------------
@@ -185,9 +241,9 @@ class WorkerMetrics:
     def from_dict(cls, d: dict) -> "WorkerMetrics":
         d = dict(d)
         d["links"] = {int(k): list(v) for k, v in d.get("links", {}).items()}
-        d["timeline"] = [
+        d["timeline"] = Timeline(
             (str(c), float(a), float(b)) for c, a, b in d.get("timeline", [])
-        ]
+        )
         return cls(**d)
 
 

@@ -1,11 +1,12 @@
-"""Persistent worker pool: the engine's one-shot lifecycle made resident.
+"""The process driver: a crew of resident workers that runs jobs.
 
-:func:`repro.runtime.engine.run_mp_fanout` pays full job setup for every
-matrix: spawn workers, build links, create an arena, run, tear everything
-down. For a factorization *service* — the paper's own motivating workload
-is repeated numeric factorization inside interior-point LP loops — that
-setup dominates. :class:`WorkerPool` keeps the worker processes and the
-link fabric alive across jobs and ships each job as a small message:
+Every multiprocess run in the repo goes through :class:`WorkerPool`. The
+service keeps one pool alive across many jobs;
+:func:`repro.runtime.engine.run_mp_fanout` runs one job on a pool that
+closes itself; :func:`repro.runtime.recovery.run_with_recovery` runs its
+restart attempts on one pool. This module is the only one that starts
+processes, and :meth:`WorkerPool.run_batch` is the only loop that
+collects their results. Each job ships as a small message:
 
 * **Pattern contexts** travel once. The first job of a sparsity pattern
   carries the block structure, task graph, owner plan, and arena name;
@@ -26,25 +27,31 @@ link fabric alive across jobs and ships each job as a small message:
   same slots. A job that reuses an in-flight arena waits until every rank
   announced completion of the previous job on that arena (DONE control
   frames, 64 bytes each). Inline jobs, and jobs on distinct arenas,
-  pipeline freely. Gather frames are always shipped inline in pool mode
-  (:attr:`Worker.inline_gather`) so the driver never reads a slot that a
-  later job may have overwritten.
+  pipeline freely. Frames bound for the driver (the gather and the
+  abort-time checkpoint) always carry their payload inline, so the
+  driver never reads a slot that a later job may have overwritten and a
+  checkpoint outlives its arena.
+
+Per job the caller chooses the in-run integrity protocol (``recovery``),
+a ``checkpoint`` of completed blocks to preload, an ``rhs`` to solve
+after the factor, and a :class:`~repro.runtime.faults.FaultPlan` to
+inject; per pool, the renegotiation/retransmit settings and
+``dead_grace_s``.
 
 Failure containment: a worker error poisons only its own job — the
 erroring worker broadcasts ABORT for that job's tag, peers abort that job
 and move on to the next one in the batch, and the driver reports the job
-failed while the rest of the batch completes. Dead processes and global
-timeouts tear the pool down and bring up a fresh crew — on ``P - f``
-workers when ``f`` processes died (:meth:`WorkerPool.heal`); pattern
-contexts are re-shipped lazily because ``seen_patterns`` is cleared, and
-the caller re-plans owners for the shrunken crew. Per-job deadlines are
-enforced driver-side: an expired job gets a seq-tagged ABORT injected
-into every inbox, so exactly that job aborts while its batch keeps
-running. Workers heartbeat on the result queue before every job, so the
-driver can tell a stalled crew from a slow one. The pool never runs the
-checkpoint/recovery protocol — that remains the one-shot engine's job —
-but it does thread :class:`~repro.runtime.faults.FaultPlan` injection
-into individual jobs so the service layer above is chaos-testable.
+failed while the rest of the batch completes. A dead process (after up to
+``dead_grace_s`` spent collecting the survivors' results) or a global
+timeout breaks the batch: the driver aborts the jobs still in flight,
+tears the pool down and brings up a fresh crew — on ``P - f`` workers
+when ``f`` processes died (:meth:`WorkerPool.heal`); pattern contexts are
+re-shipped lazily because ``seen_patterns`` is cleared, and the caller
+re-plans owners for the shrunken crew. Per-job deadlines are enforced
+driver-side: an expired job gets a seq-tagged ABORT injected into every
+inbox, so exactly that job aborts while its batch keeps running. Workers
+heartbeat on the result queue before every job, so the driver can tell a
+stalled crew from a slow one.
 """
 
 from __future__ import annotations
@@ -52,15 +59,16 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue as queue_mod
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
+from repro.numeric.blas_threads import set_blas_threads, thread_budget
 from repro.runtime import wire
-from repro.runtime.engine import _reap
 from repro.runtime.links import Link, LinkFabric
+from repro.runtime.metrics import WorkerMetrics
 from repro.runtime.worker import Worker, WorkerResult
 
 __all__ = [
@@ -68,18 +76,8 @@ __all__ = [
     "PatternContext",
     "PoolJob",
     "JobOutcome",
-    "PoolError",
-    "PoolTimeoutError",
     "WorkerPool",
 ]
-
-
-class PoolError(RuntimeError):
-    """The pool itself failed (dead worker process, protocol breach)."""
-
-
-class PoolTimeoutError(PoolError):
-    """A batch exceeded its global deadline."""
 
 
 #: Result-queue tag used by worker heartbeats (never a valid job seq).
@@ -108,7 +106,6 @@ class PatternContext:
     indices: np.ndarray
     shape: tuple
     arena_name: str | None = None
-    op_fixed_cost: int = 1000
     #: Execution discipline for the pattern's jobs: ``"static"`` or
     #: ``"dynamic"`` (work stealing; see :mod:`repro.runtime.worker`).
     schedule: str = "static"
@@ -129,6 +126,13 @@ class PoolJob:
     (``time.monotonic`` is system-wide on Linux, so workers and driver
     agree on it). ``fault_plan`` injects deterministic faults into this
     job's workers — chaos testing for the layers above the pool.
+    ``recovery`` turns on the in-run integrity protocol (CRC reject,
+    NACK/retransmit, duplicate suppression, the DONE linger barrier) and
+    makes failed workers ship their completed blocks home as a
+    checkpoint; ``checkpoint`` maps block ids to such frames from an
+    earlier attempt, preloaded so their tasks are skipped. An ``rhs`` on
+    a factor job runs the distributed triangular solve right after the
+    factor, on the same workers.
 
     ``kind="solve"`` runs the distributed triangular solve against the
     rank's *resident* factor — the :class:`~repro.runtime.worker.Worker`
@@ -150,6 +154,8 @@ class PoolJob:
     fault_plan: object | None = None
     kind: str = "factor"
     rhs: np.ndarray | None = None
+    recovery: bool = False
+    checkpoint: dict[int, bytes] | None = None
 
 
 @dataclass
@@ -162,6 +168,13 @@ class JobOutcome:
     aborted: bool = False
     expired: bool = False
     wall_s: float = 0.0
+    #: Why the pool broke while this job was in flight: ``"dead"`` (a
+    #: worker process died) or ``"timeout"`` (the batch deadline
+    #: passed); None when every rank reported (errors included).
+    broken: str | None = None
+    #: Ranks the break is blamed on: the dead processes that never
+    #: reported this job, or every unreported rank at a timeout.
+    lost_ranks: list[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -272,6 +285,7 @@ class JobFabric:
         self.router = router
         self.seq = seq
         self.nprocs = base.nprocs
+        self.progress = base.progress
 
     def inbox(self, rank: int) -> _JobInbox:
         return _JobInbox(self.router, self.seq)
@@ -288,17 +302,21 @@ class JobFabric:
 # Worker-side resident loop
 # ----------------------------------------------------------------------
 class _PoolWorker:
-    """The resident process: runs batches of jobs until told to stop."""
+    """The resident process: runs batches of jobs until told to stop.
 
-    def __init__(self, rank, fabric, commands, result_queue, poll_s,
-                 stall_timeout_s, record_timeline):
+    ``settings`` are the pool-wide :class:`Worker` keyword settings
+    (polling, watchdog, timeline, renegotiation/retransmit bounds);
+    ``blas_threads`` caps this process's BLAS thread pools.
+    """
+
+    def __init__(self, rank, fabric, commands, result_queue, settings,
+                 blas_threads):
         self.rank = rank
+        self.blas_threads = blas_threads
         self.fabric = fabric
         self.commands = commands
         self.result_queue = result_queue
-        self.poll_s = poll_s
-        self.stall_timeout_s = stall_timeout_s
-        self.record_timeline = record_timeline
+        self.settings = settings
         self.router = InboxRouter(fabric.inbox(rank))
         self.patterns: dict[str, tuple] = {}  # pid -> (context, arena)
         self.done_seen: dict[int, set] = {}
@@ -308,6 +326,7 @@ class _PoolWorker:
 
     # -- lifecycle -----------------------------------------------------
     def run(self) -> None:
+        set_blas_threads(self.blas_threads)
         try:
             while True:
                 cmd = self.commands.get()
@@ -338,14 +357,14 @@ class _PoolWorker:
             if ctx_arena is not None and ctx_arena[1] is not None:
                 ctx_arena[1].close()
 
-    def _install(self, context: PatternContext):
+    def _install(self, context: PatternContext) -> None:
+        self._evict([context.pattern_id])
         arena = None
         if context.arena_name is not None:
             from repro.runtime.arena import BlockArena
 
             arena = BlockArena.attach(context.tg, context.arena_name)
         self.patterns[context.pattern_id] = (context, arena)
-        return self.patterns[context.pattern_id]
 
     # -- one job -------------------------------------------------------
     def _run_job(self, job: PoolJob, epoch: float) -> None:
@@ -354,61 +373,31 @@ class _PoolWorker:
         self.result_queue.put(
             (HEARTBEAT_SEQ, (self.rank, job.seq, time.monotonic()))
         )
-        if getattr(job, "kind", "factor") == "solve":
-            self._run_solve_job(job)
+        fabric = JobFabric(self.fabric, self.router, job.seq)
+        results = _TaggedQueue(self.result_queue, job.seq)
+        worker = self._worker_for(job, fabric, results, epoch)
+        if worker is None:
             return
-        entry = self.patterns.get(job.pattern_id)
-        if job.context is not None:
-            entry = self._install(job.context)
-        if entry is None:
-            self._report_error(
-                job.seq,
-                f"worker {self.rank} has no context for pattern "
-                f"{job.pattern_id!r} (pool protocol breach)",
-            )
-            return
-        context, arena = entry
         if job.wait_for is not None:
             try:
                 self._await_done(job.wait_for)
             except RuntimeError:
-                import traceback
-
                 self._report_error(job.seq, traceback.format_exc())
                 return
-        A = sparse.csc_matrix(
-            (job.values, context.indices, context.indptr),
-            shape=tuple(context.shape),
-        )
-        worker = Worker(
-            self.rank,
-            structure=context.structure,
-            A=A,
-            tg=context.tg,
-            owners=context.owners,
-            fabric=JobFabric(self.fabric, self.router, job.seq),
-            result_queue=_TaggedQueue(self.result_queue, job.seq),
-            priorities=context.priorities,
-            epoch=epoch,
-            poll_s=self.poll_s,
-            stall_timeout_s=self.stall_timeout_s,
-            record_timeline=self.record_timeline,
-            trace_capacity=job.trace_capacity,
-            op_fixed_cost=context.op_fixed_cost,
-            transport="shm" if arena is not None else "inline",
-            arena=arena,
-            inline_gather=True,
-            fault_plan=job.fault_plan,
-            schedule=getattr(context, "schedule", "static"),
-            steal_seed=getattr(context, "steal_seed", 0),
-        )
-        worker.run()
-        # Retain the factored worker for warm solve jobs; a failed or
-        # aborted factor invalidates any previous resident factor too.
-        if worker.metrics.error is None and not worker.metrics.aborted:
-            self.resident[job.pattern_id] = worker
+        if job.kind == "solve":
+            # Warm solve: only the RHS panel travelled in the job; the
+            # factor blocks are already in this process (arena slots on
+            # shm, local arrays inline), so the wire sees RHS fragments
+            # and nothing else.
+            worker.run_solve(job, fabric, results)
         else:
-            self.resident.pop(job.pattern_id, None)
+            worker.run()
+            # Retain the factored worker for warm solve jobs; a failed or
+            # aborted factor invalidates any previous resident factor.
+            if worker.metrics.error is None and not worker.metrics.aborted:
+                self.resident[job.pattern_id] = worker
+            else:
+                self.resident.pop(job.pattern_id, None)
         # DONE announcements consumed mid-job by the Worker count toward
         # this job's barrier.
         if worker.done_peers:
@@ -418,43 +407,36 @@ class _PoolWorker:
         if job.announce:
             self._announce(job.seq)
 
-    def _run_solve_job(self, job: PoolJob) -> None:
-        """Warm solve: re-arm the pattern's resident factored worker.
-
-        Only the RHS panel travelled in the job; the factor blocks are
-        already in this process (arena slots on shm, local arrays
-        inline), so the wire sees RHS fragments and nothing else.
-        """
-        worker = self.resident.get(job.pattern_id)
-        if worker is None:
+    def _worker_for(self, job, fabric, results, epoch) -> Worker | None:
+        """The :class:`Worker` that runs ``job``: the pattern's resident
+        factored worker for a solve job, a fresh one for a factor job.
+        None (with an error reported) when this rank lacks what the job
+        needs."""
+        if job.kind == "solve":
+            worker = self.resident.get(job.pattern_id)
+            if worker is None:
+                self._report_error(
+                    job.seq,
+                    f"worker {self.rank} has no resident factor for "
+                    f"pattern {job.pattern_id!r} (factor before solving, "
+                    f"and note restarts clear residency)",
+                )
+            return worker
+        if job.context is not None:
+            self._install(job.context)
+        entry = self.patterns.get(job.pattern_id)
+        if entry is None:
             self._report_error(
                 job.seq,
-                f"worker {self.rank} has no resident factor for pattern "
-                f"{job.pattern_id!r} (factor before solving, and note "
-                f"restarts clear residency)",
+                f"worker {self.rank} has no context for pattern "
+                f"{job.pattern_id!r} (pool protocol breach)",
             )
-            return
-        if job.wait_for is not None:
-            try:
-                self._await_done(job.wait_for)
-            except RuntimeError:
-                import traceback
-
-                self._report_error(job.seq, traceback.format_exc())
-                return
-        worker.run_solve(
-            job.rhs,
-            JobFabric(self.fabric, self.router, job.seq),
-            _TaggedQueue(self.result_queue, job.seq),
-            trace_capacity=job.trace_capacity,
-            fault_plan=job.fault_plan,
+            return None
+        context, arena = entry
+        return Worker(
+            self.rank, context, job, fabric, results,
+            epoch=epoch, arena=arena, **self.settings,
         )
-        if worker.done_peers:
-            self.done_seen.setdefault(job.seq, set()).update(
-                worker.done_peers
-            )
-        if job.announce:
-            self._announce(job.seq)
 
     def _announce(self, seq: int) -> None:
         """Tell every peer this rank is done with job ``seq`` — sent even
@@ -472,10 +454,11 @@ class _PoolWorker:
         """
         peers = set(range(self.fabric.nprocs)) - {self.rank}
         seen = self.done_seen.setdefault(seq, set())
-        deadline = time.monotonic() + self.stall_timeout_s
+        poll_s = self.settings["poll_s"]
+        deadline = time.monotonic() + self.settings["stall_timeout_s"]
         while not peers <= seen:
             try:
-                item = self.router.get(seq, timeout=self.poll_s)
+                item = self.router.get(seq, timeout=poll_s)
             except queue_mod.Empty:
                 if time.monotonic() > deadline:
                     raise RuntimeError(
@@ -492,8 +475,6 @@ class _PoolWorker:
                     seen.add(msg.src)
 
     def _report_error(self, seq: int, text: str) -> None:
-        from repro.runtime.metrics import WorkerMetrics
-
         metrics = WorkerMetrics(rank=self.rank)
         metrics.error = text
         self.result_queue.put(
@@ -506,23 +487,49 @@ def pool_worker_main(rank: int, kwargs: dict) -> None:
     _PoolWorker(rank, **kwargs).run()
 
 
+def _reap(procs, grace_s: float = 5.0) -> None:
+    """Join every child; terminate (then kill) any that linger."""
+    deadline = time.monotonic() + grace_s
+    for p in procs:
+        p.join(timeout=max(0.0, deadline - time.monotonic()))
+    for p in procs:
+        if p.is_alive():
+            p.terminate()
+            p.join(timeout=1.0)
+    for p in procs:
+        if p.is_alive():  # pragma: no cover - last resort
+            p.kill()
+            p.join(timeout=1.0)
+        p.close()
+
+
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
 class WorkerPool:
-    """A long-lived crew of factorization workers.
+    """A crew of factorization worker processes.
 
     Usage::
 
-        pool = WorkerPool(nprocs=4).start()
-        outcomes = pool.run_batch([PoolJob(...), ...])
-        pool.close()
+        with WorkerPool(nprocs=4) as pool:
+            outcomes = pool.run_batch([PoolJob(...), ...])
 
     The pool tracks which pattern ids this incarnation has shipped
     (:attr:`seen_patterns`); callers include a :class:`PatternContext` on
     a job exactly when its pattern is not in that set. :meth:`restart`
     replaces dead processes with a fresh fabric and clears the set, so
     contexts are re-shipped lazily.
+
+    ``dead_grace_s`` is how long a batch keeps collecting the surviving
+    workers' results (their abort-time checkpoints, under recovery) after
+    a worker process died, before it breaks. The remaining settings
+    reach every :class:`Worker`: the inbox poll interval, the stall
+    watchdog, timeline recording, and the recovery protocol's
+    renegotiation backoff (``renegotiate_base_s`` doubling up to
+    ``renegotiate_cap_s``, at most ``max_renegotiations`` rounds) and
+    per-block ``retransmit_limit``. Each worker caps its BLAS thread pools
+    at :attr:`blas_threads` so that the crew does not oversubscribe the
+    CPUs it shares (see :mod:`repro.numeric.blas_threads`).
     """
 
     def __init__(
@@ -532,6 +539,11 @@ class WorkerPool:
         poll_s: float = 0.002,
         stall_timeout_s: float = 30.0,
         record_timeline: bool = False,
+        dead_grace_s: float = 0.0,
+        renegotiate_base_s: float = 0.2,
+        renegotiate_cap_s: float = 2.0,
+        max_renegotiations: int = 8,
+        retransmit_limit: int = 5,
     ):
         if nprocs < 1:
             raise ValueError("nprocs must be positive")
@@ -545,9 +557,16 @@ class WorkerPool:
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             )
         self.start_method = start_method
-        self.poll_s = poll_s
-        self.stall_timeout_s = stall_timeout_s
-        self.record_timeline = record_timeline
+        self.dead_grace_s = dead_grace_s
+        self.worker_settings = dict(
+            poll_s=poll_s,
+            stall_timeout_s=stall_timeout_s,
+            record_timeline=record_timeline,
+            renegotiate_base_s=renegotiate_base_s,
+            renegotiate_cap_s=renegotiate_cap_s,
+            max_renegotiations=max_renegotiations,
+            retransmit_limit=retransmit_limit,
+        )
         self.seen_patterns: set[str] = set()
         self.generation = 0
         #: Why the last :meth:`run_batch` broke the pool (None when it
@@ -557,6 +576,9 @@ class WorkerPool:
         #: rank -> last heartbeat instant (``time.monotonic``), updated
         #: as batches run; survives restarts for post-mortem inspection.
         self.last_heartbeats: dict[int, float] = {}
+        #: BLAS threads each worker of the running crew may use:
+        #: ``max(1, usable CPUs // nprocs)``, set when the crew starts.
+        self.blas_threads: int | None = None
         self._procs: list = []
         self._commands: list = []
         self._results = None
@@ -586,14 +608,14 @@ class WorkerPool:
         self._results = ctx.Queue()
         self._procs = []
         self.generation += 1
+        self.blas_threads = thread_budget(self.nprocs)
         for rank in range(self.nprocs):
             kwargs = dict(
                 fabric=self._fabric,
                 commands=self._commands[rank],
                 result_queue=self._results,
-                poll_s=self.poll_s,
-                stall_timeout_s=self.stall_timeout_s,
-                record_timeline=self.record_timeline,
+                settings=self.worker_settings,
+                blas_threads=self.blas_threads,
             )
             p = ctx.Process(
                 target=pool_worker_main,
@@ -634,30 +656,32 @@ class WorkerPool:
         self.close()
         return self.start()
 
+    def resize(self, nprocs: int) -> "WorkerPool":
+        """Set the crew width to ``nprocs`` (floor 1). A running crew of
+        another width is closed; the next :meth:`start` or batch brings
+        up the fresh one. Callers re-plan owners for the new width
+        (contexts re-ship because the restart clears ``seen_patterns``)."""
+        nprocs = max(1, nprocs)
+        if nprocs != self.nprocs:
+            self.close()
+            self.nprocs = nprocs
+        return self
+
     def heal(self) -> "WorkerPool":
         """Restart on ``P - f`` workers, where ``f`` is the number of
-        dead processes (floor 1). Mutates :attr:`nprocs`: callers must
-        re-plan owners for any pattern planned for the old crew size
-        (contexts are re-shipped anyway because ``seen_patterns`` is
-        cleared). With no dead processes this is a plain restart — the
-        cure for a stalled-but-alive crew."""
-        dead = len(self.dead_ranks())
+        dead processes (floor 1). With no dead processes this is a plain
+        restart — the cure for a stalled-but-alive crew."""
+        nprocs = self.nprocs - len(self.dead_ranks())
         self.close()
-        if dead:
-            self.nprocs = max(1, self.nprocs - dead)
-        return self.start()
+        return self.resize(nprocs).start()
 
     def regrow(self) -> "WorkerPool":
         """Restore a healed (shrunken) pool to its configured width with
-        a fresh crew. Safe only between batches — the restart clears
-        ``seen_patterns``, so contexts re-ship lazily and callers re-plan
-        owners for the full width exactly as they re-planned for the
-        shrink. No-op while the pool is already at full width."""
+        a fresh crew. Safe only between batches. No-op while the pool is
+        already at full width."""
         if self.nprocs >= self.configured_nprocs:
             return self
-        self.close()
-        self.nprocs = self.configured_nprocs
-        return self.start()
+        return self.resize(self.configured_nprocs).start()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -702,9 +726,11 @@ class WorkerPool:
         errored or aborted is reported failed but does not poison the
         rest of the batch; a job past its ``deadline`` is seq-aborted and
         reported ``expired``, likewise without poisoning the batch. A
-        dead worker process or a global timeout heals the pool (restart
-        on ``P - f`` workers) and fails every uncollected job;
-        :attr:`last_error` records why.
+        dead worker process (once the survivors reported or
+        ``dead_grace_s`` ran out) or a global timeout breaks the batch:
+        every uncollected job is aborted and reported failed with its
+        ``broken`` cause and ``lost_ranks``, and the pool heals (restart
+        on ``P - f`` workers); :attr:`last_error` records why.
         """
         if not jobs:
             return {}
@@ -726,7 +752,9 @@ class WorkerPool:
             job.seq: job.deadline for job in jobs if job.deadline is not None
         }
         deadline = t0 + timeout_s
+        dead_deadline: float | None = None
         broken: str | None = None
+        cause = lost = None
         while pending:
             now = time.monotonic()
             if now - t0 > timeout_s:
@@ -734,6 +762,7 @@ class WorkerPool:
                     f"pool batch timeout after {timeout_s:.0f}s: "
                     f"{len(pending)} job(s) incomplete"
                 )
+                cause = "timeout"
                 break
             # Per-job deadlines: abort exactly the expired job. Workers
             # that already shipped results for it are unaffected; the
@@ -756,13 +785,24 @@ class WorkerPool:
             try:
                 seq, res = self._results.get(timeout=max(wait, 0.001))
             except queue_mod.Empty:
-                if not self.alive:
-                    dead = [
-                        p.name for p in self._procs if not p.is_alive()
-                    ]
-                    broken = f"pool worker process(es) died: {dead}"
-                    break
-                continue
+                dead = self.dead_ranks()
+                if not dead:
+                    continue
+                # Linger up to dead_grace_s while survivors still owe
+                # results (under recovery they ship checkpoints).
+                if dead_deadline is None:
+                    dead_deadline = now + self.dead_grace_s
+                owed = set(range(self.nprocs)) - set(dead)
+                if now < dead_deadline and any(
+                    owed - set(outcomes[s].results) for s in pending
+                ):
+                    continue
+                broken = (
+                    "pool worker process(es) died without reporting: "
+                    f"{[self._procs[r].name for r in dead]}"
+                )
+                cause, lost = "dead", dead
+                break
             if seq == HEARTBEAT_SEQ:
                 rank, _jseq, t = res
                 self.last_heartbeats[rank] = t
@@ -784,6 +824,15 @@ class WorkerPool:
                 out = outcomes[seq]
                 if out.error is None:
                     out.error = broken
+                out.broken = cause
+                out.lost_ranks = (
+                    [r for r in lost if r not in out.results]
+                    if lost is not None
+                    else [r for r in range(self.nprocs)
+                          if r not in out.results]
+                )
+                # Survivors stop the job now instead of stalling on it.
+                self.abort_job(seq)
             self.last_error = broken
             self.heal()
         return outcomes

@@ -1,14 +1,17 @@
-"""Driver-level checkpoint/restart for the message-passing runtime.
+"""Checkpoint/restart for the message-passing runtime, on one pool.
 
-:func:`run_with_recovery` wraps :func:`~repro.runtime.engine.run_mp_fanout`
-in a bounded restart loop:
+:func:`run_with_recovery` runs a bounded series of attempts on a single
+:class:`~repro.runtime.pool.WorkerPool`:
 
-1. run the factorization with the in-run integrity protocol enabled
+1. run the factorization job with the in-run integrity protocol enabled
    (CRC reject + NACK/retransmit + duplicate suppression);
 2. if the attempt dies (worker crash, death without reporting, timeout),
    harvest the completed-block *checkpoint* every reporting worker shipped
-   home, shrink the block map onto the P - f surviving processes, and
-   restart — checkpointed blocks are preloaded, their tasks skipped;
+   home, restart the pool's crew on the P - f surviving processes, re-plan
+   the block map for them, and run again — checkpointed blocks are
+   preloaded, their tasks skipped. Death detection, the grace spent
+   collecting survivors' checkpoints, and the crew restart are the pool's
+   own;
 3. after ``max_restarts`` failed restarts (or when shrunk to nothing),
    degrade to the sequential :class:`~repro.numeric.blockfact.BlockCholesky`
    backend as a last resort.
@@ -33,13 +36,15 @@ from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
 from repro.runtime import wire
 from repro.runtime.engine import (
+    POOL_SETTINGS,
     FanoutError,
     MPRuntimeResult,
     plan_owners,
-    run_mp_fanout,
+    run_on_pool,
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.pool import WorkerPool
 from repro.runtime.trace import RunTrace
 
 #: FailureReport.outcome values. The service layer reuses these to tag
@@ -122,9 +127,8 @@ def _harvest_checkpoint(
     """Fold the completed-block frames salvaged from a failed attempt into
     the running checkpoint (frames are CRC-verified before acceptance).
 
-    On the shm transport the engine already rewrote any ``BLOCK_REF``
-    descriptors as inline frames before destroying the arena, so every
-    salvaged frame here carries its payload and outlives the attempt."""
+    Workers ship checkpoint frames inline on every transport, so each
+    salvaged frame carries its payload and outlives the attempt."""
     for res in exc.results.values():
         for frame in res.frames:
             try:
@@ -170,9 +174,11 @@ def run_with_recovery(
 
     Returns an :class:`MPRuntimeResult` whose ``failure_report`` is always
     populated. Raises only if ``fallback_sequential`` is disabled and
-    every parallel attempt failed. Extra ``kwargs`` flow to
-    :func:`run_mp_fanout` (timeouts, poll interval, scheduling policy,
-    transport...). ``plan_cache`` memoizes owner plans across calls and
+    every parallel attempt failed. Extra ``kwargs`` are
+    :func:`~repro.runtime.engine.run_mp_fanout`'s (timeouts, poll
+    interval, scheduling policy, transport...); ``dead_grace_s``
+    defaults to 10 s here so survivors of a dead worker get to ship their
+    checkpoints. ``plan_cache`` memoizes owner plans across calls and
     restarts, keyed on ``(P, mapping, use_domains)`` — pass a dict owned
     by the caller (e.g. :class:`repro.solver.SparseCholesky`) so repeated
     ``factor()`` calls and same-P restarts skip re-planning.
@@ -183,62 +189,69 @@ def run_with_recovery(
     t_start = time.perf_counter()
     report = FailureReport()
     checkpoint: dict[int, bytes] = {}
-    kwargs.setdefault("dead_grace_s", 10.0)
+    pool_kwargs = {k: kwargs.pop(k) for k in POOL_SETTINGS if k in kwargs}
+    pool_kwargs.setdefault("dead_grace_s", 10.0)
+    pool_kwargs.setdefault("record_timeline", True)
     P = nprocs
     last_exc: FanoutError | None = None
     salvaged_traces: list[RunTrace] = []
-    for attempt in range(max_restarts + 1):
-        key = (P, mapping, use_domains)
-        if plan_cache is not None and key in plan_cache:
-            owners, name = plan_cache[key]
-        else:
-            owners, name = plan_owners(wm, tg, P, mapping, use_domains)
-            if plan_cache is not None:
-                plan_cache[key] = (owners, name)
-        plan_a = fault_plan.for_attempt(attempt) if fault_plan else None
-        t_attempt = time.perf_counter()
-        try:
-            res = run_mp_fanout(
-                structure, A, tg, owners, P,
-                mapping=name,
-                fault_plan=plan_a,
-                recovery=True,
-                checkpoint=checkpoint or None,
-                **kwargs,
+    pool = WorkerPool(nprocs, **pool_kwargs)
+    try:
+        for attempt in range(max_restarts + 1):
+            key = (P, mapping, use_domains)
+            if plan_cache is not None and key in plan_cache:
+                owners, name = plan_cache[key]
+            else:
+                owners, name = plan_owners(wm, tg, P, mapping, use_domains)
+                if plan_cache is not None:
+                    plan_cache[key] = (owners, name)
+            plan_a = fault_plan.for_attempt(attempt) if fault_plan else None
+            t_attempt = time.perf_counter()
+            try:
+                res = run_on_pool(
+                    pool.resize(P), structure, A, tg, owners,
+                    mapping=name,
+                    fault_plan=plan_a,
+                    recovery=True,
+                    checkpoint=checkpoint or None,
+                    seq=attempt,
+                    **kwargs,
+                )
+            except FanoutError as exc:
+                last_exc = exc
+                before = len(checkpoint)
+                _harvest_checkpoint(exc, tg, checkpoint)
+                salvage = _salvage_trace(exc, attempt, P)
+                if salvage is not None:
+                    salvaged_traces.append(salvage)
+                report.attempts.append(FailedAttempt(
+                    attempt=attempt,
+                    nprocs=P,
+                    failed_ranks=list(exc.failed_ranks),
+                    error=str(exc),
+                    checkpoint_blocks=len(checkpoint) - before,
+                    wall_s=time.perf_counter() - t_attempt,
+                ))
+                # Restart on the surviving processes.
+                P = max(1, P - max(1, len(exc.failed_ranks)))
+                continue
+            report.outcome = (
+                OUTCOME_CLEAN if attempt == 0 else OUTCOME_RECOVERED
             )
-        except FanoutError as exc:
-            last_exc = exc
-            before = len(checkpoint)
-            _harvest_checkpoint(exc, tg, checkpoint)
-            salvage = _salvage_trace(exc, attempt, P)
-            if salvage is not None:
-                salvaged_traces.append(salvage)
-            report.attempts.append(FailedAttempt(
-                attempt=attempt,
-                nprocs=P,
-                failed_ranks=list(exc.failed_ranks),
-                error=str(exc),
-                checkpoint_blocks=len(checkpoint) - before,
-                wall_s=time.perf_counter() - t_attempt,
-            ))
-            # Shrink the block map onto the surviving processes.
-            P = max(1, P - max(1, len(exc.failed_ranks)))
-            continue
-        report.outcome = (
-            OUTCOME_CLEAN if attempt == 0 else OUTCOME_RECOVERED
-        )
-        report.restarts = attempt
-        report.final_nprocs = P
-        report.checkpoint_blocks_used = len(checkpoint)
-        report.recovery_events = res.metrics.recovery_events_total
-        report.faults_injected = res.metrics.faults_injected_total
-        report.wall_s = time.perf_counter() - t_start
-        res.failure_report = report
-        if salvaged_traces:
-            # Prepend the failed attempts' salvaged events so the final
-            # trace tells the whole multi-attempt story.
-            res.trace = RunTrace.concat([*salvaged_traces, res.trace])
-        return res
+            report.restarts = attempt
+            report.final_nprocs = P
+            report.checkpoint_blocks_used = len(checkpoint)
+            report.recovery_events = res.metrics.recovery_events_total
+            report.faults_injected = res.metrics.faults_injected_total
+            report.wall_s = time.perf_counter() - t_start
+            res.failure_report = report
+            if salvaged_traces:
+                # Prepend the failed attempts' salvaged events so the
+                # final trace tells the whole multi-attempt story.
+                res.trace = RunTrace.concat([*salvaged_traces, res.trace])
+            return res
+    finally:
+        pool.close()
 
     if not fallback_sequential:
         report.outcome = OUTCOME_DEGRADED

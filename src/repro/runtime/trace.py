@@ -48,7 +48,7 @@ recovery protocol: ``crash``, ``slow``, ``nack_sent``, ``retransmit``,
 ``renegotiate``, ``checkpoint_load``, ``done_sent``, ``abort_sent``,
 ``abort_recv``.
 
-The engine merges per-worker buffers into a :class:`RunTrace`, which
+The driver merges per-worker buffers into a :class:`RunTrace`, which
 serializes to a native JSON form, exports Chrome ``trace_event`` JSON
 (open in Perfetto or ``chrome://tracing``), and renders an ASCII Gantt
 chart (``python -m repro trace``). See ``docs/TRACING.md``.

@@ -26,7 +26,9 @@ Fault tolerance (``recovery=True``, see :mod:`repro.runtime.faults` and
   exactly once, no matter how often it arrives);
 * a worker that stops receiving messages it still needs *renegotiates*:
   it NACKs the owners of its missing blocks under bounded exponential
-  backoff before giving up;
+  backoff before giving up — but only once those owners have stopped
+  executing tasks (their shared progress counters stand still), so a slow
+  or busy peer is never mistaken for a lost frame;
 * after finishing its own tasks a worker broadcasts DONE and lingers to
   serve retransmit requests until every peer is done — so late NACKs
   always find a living sender;
@@ -44,6 +46,7 @@ import traceback
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.numeric.blockfact import BlockCholesky
 from repro.numeric.solve import (
@@ -55,7 +58,7 @@ from repro.numeric.solve import (
 )
 from repro.fanout.tasks import BDIV, BFAC, BMOD
 from repro.runtime import wire
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import TimelineRecorder, WorkerMetrics
 from repro.runtime.scheduler import ReadyScheduler
 from repro.runtime.solve_plan import SolvePlan
@@ -89,97 +92,82 @@ class WorkerResult:
 
 
 class Worker:
-    """One rank of the message-passing runtime.
+    """One rank of the message-passing runtime: runs one factor job, and
+    afterwards warm solve jobs against the factor it holds
+    (:meth:`run_solve`).
 
-    Parameters mirror the shared plan built by the engine: the block
-    ``structure`` and input matrix ``A`` (to scatter initial block data —
-    the runtime's stand-in for the host distributing ``A``), the task graph
-    ``tg``, the block ``owners`` array, an optional per-task priority
-    array, and failure-injection / recovery / watchdog knobs.
+    ``context`` is the job's :class:`~repro.runtime.pool.PatternContext`
+    (block structure, task graph, owner plan, priorities, schedule) and
+    ``job`` its :class:`~repro.runtime.pool.PoolJob` (the matrix values
+    to scatter into the initial blocks — the runtime's stand-in for the
+    host distributing ``A`` — plus trace capacity, fault plan, recovery
+    switch, checkpoint, and optional right-hand side). ``arena`` is the
+    pattern's attached :class:`~repro.runtime.arena.BlockArena` on the
+    shm transport (None inline); the pool owns the attachment. The
+    remaining keywords are the pool-wide polling, watchdog, timeline and
+    recovery-protocol settings.
     """
 
     def __init__(
         self,
         rank: int,
-        structure,
-        A,
-        tg,
-        owners: np.ndarray,
+        context,
+        job,
         fabric,
         result_queue,
-        priorities: np.ndarray | None = None,
         epoch: float = 0.0,
+        arena=None,
         poll_s: float = 0.002,
         stall_timeout_s: float = 30.0,
-        inject_failure: tuple[int, int] | None = None,
         record_timeline: bool = True,
-        trace_capacity: int = 0,
-        op_fixed_cost: int = 1000,
-        fault_plan: FaultPlan | None = None,
-        recovery: bool = False,
-        checkpoint: dict[int, bytes] | None = None,
         renegotiate_base_s: float = 0.2,
         renegotiate_cap_s: float = 2.0,
         max_renegotiations: int = 8,
         retransmit_limit: int = 5,
-        transport: str = "inline",
-        arena_name: str | None = None,
-        arena=None,
-        inline_gather: bool = False,
-        schedule: str = "static",
-        steal_seed: int = 0,
-        rhs: np.ndarray | None = None,
     ):
         self.rank = rank
-        self.structure = structure
-        self.A = A
-        self.tg = tg
-        self.owners = np.asarray(owners)
+        self.context = context
+        self.values = job.values
+        self.structure = context.structure
+        self.tg = context.tg
+        self.owners = np.asarray(context.owners)
         self.fabric = fabric
         self.result_queue = result_queue
-        self.priorities = priorities
+        self.priorities = context.priorities
         self.epoch = epoch
         self.poll_s = poll_s
         self.stall_timeout_s = stall_timeout_s
-        self.inject_failure = inject_failure
-        self.op_fixed_cost = op_fixed_cost
-        self.fault_plan = fault_plan
-        self.recovery = recovery
-        self.checkpoint = checkpoint or {}
+        self.op_fixed_cost = self.tg.workmodel.op_fixed_cost
+        self.fault_plan = job.fault_plan
+        self.recovery = job.recovery
+        self.checkpoint = job.checkpoint or {}
         self.renegotiate_base_s = renegotiate_base_s
         self.renegotiate_cap_s = renegotiate_cap_s
         self.max_renegotiations = max_renegotiations
         self.retransmit_limit = retransmit_limit
-        self.transport = transport
-        self.arena_name = arena_name
-        #: Pre-attached :class:`~repro.runtime.arena.BlockArena` shared by
-        #: the persistent pool (:mod:`repro.runtime.pool`); when given, the
-        #: worker uses it instead of attaching by name, and never closes it.
-        self.shared_arena = arena
-        #: Ship gather frames inline even on the shm transport. The pool
-        #: reuses arena slots across jobs, so the driver cannot defer the
-        #: gather copy until after the next job may have overwritten them.
-        self.inline_gather = inline_gather
+        self.arena = arena
         #: ``"static"`` runs the owner-computes map as-is; ``"dynamic"``
         #: adds work stealing on top of it (see :mod:`docs/SCHEDULING.md`):
         #: an idle worker requests a task from a seeded-random busy peer,
         #: executes it against the shipped destination state, and returns
         #: the result — ownership of the *update* migrates, never the block.
-        self.schedule = schedule
-        self.steal_seed = steal_seed
+        self.schedule = context.schedule
+        self.steal_seed = context.steal_seed
         #: Right-hand side panel stack (already permuted, full ``n x nrhs``
         #: float64). When given, the worker runs the distributed triangular
         #: solve after the factor phase and ships its owned solution panels
         #: home in :attr:`WorkerResult.solution`.
-        self.rhs = None if rhs is None else np.ascontiguousarray(
-            rhs, dtype=np.float64
+        self.rhs = None if job.rhs is None else np.ascontiguousarray(
+            job.rhs, dtype=np.float64
         )
         self.record_timeline = record_timeline
         self.metrics = WorkerMetrics(rank=rank)
         self.timeline = TimelineRecorder(enabled=record_timeline)
         #: Structured event recorder, or None (tracing off — the hot path
         #: then pays one identity check per event site, no allocation).
-        self.trace = TraceRecorder(trace_capacity) if trace_capacity else None
+        self.trace = (
+            TraceRecorder(job.trace_capacity) if job.trace_capacity else None
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -213,18 +201,13 @@ class Worker:
     # ------------------------------------------------------------------
     def _setup(self) -> None:
         tg = self.tg
-        self.chol = BlockCholesky(self.structure, self.A)
+        ctx = self.context
+        A = sparse.csc_matrix(
+            (self.values, ctx.indices, ctx.indptr), shape=tuple(ctx.shape)
+        )
+        self.chol = BlockCholesky(self.structure, A)
         self.inbox = self.fabric.inbox(self.rank)
         self.links = self.fabric.outgoing(self.rank)
-        self.arena = self.shared_arena
-        if (
-            self.arena is None
-            and self.transport == "shm"
-            and self.arena_name is not None
-        ):
-            from repro.runtime.arena import BlockArena
-
-            self.arena = BlockArena.attach(tg, self.arena_name)
         self.injector = None
         if self.fault_plan is not None and self.fault_plan.active:
             self.injector = FaultInjector(self.fault_plan, self.rank)
@@ -254,6 +237,9 @@ class Worker:
         self._resends: dict[tuple[int, int], int] = {}
         self._reneg_attempts = 0
         self._last_reneg = 0.0
+        self._progress = self.fabric.progress
+        #: Peers' progress counters at the last renegotiation check.
+        self._peer_progress = list(self._progress)
         # Checkpointed blocks are final: skip every task that writes them.
         done_block = np.zeros(tg.nblocks, dtype=bool)
         valid_ck = [
@@ -310,11 +296,6 @@ class Worker:
             self._solve_init()
 
     def _crash_config(self) -> tuple[int | None, bool]:
-        if (
-            self.inject_failure is not None
-            and self.rank == self.inject_failure[0]
-        ):
-            return int(self.inject_failure[1]), False
         if self.fault_plan is not None:
             spec = self.fault_plan.crash_for(self.rank)
             if spec is not None:
@@ -672,6 +653,15 @@ class Worker:
             self.renegotiate_cap_s,
         )
         if now - max(last_progress, self._last_reneg) <= delay:
+            return
+        seen = list(self._progress)
+        owners = {int(self.owners[b]) for b in self.expected}
+        owners.discard(self.rank)
+        if any(seen[o] != self._peer_progress[o] for o in owners):
+            # An owner is still executing tasks: the block is late, not
+            # lost. Look again after another base delay.
+            self._peer_progress = seen
+            self._last_reneg = now
             return
         if self._reneg_attempts >= self.max_renegotiations:
             missing = sorted(self.expected)[:8]
@@ -1047,26 +1037,27 @@ class Worker:
                     f"bup({i},{k})",
                 )
 
-    def run_solve(self, rhs, fabric, result_queue, trace_capacity: int = 0,
-                  fault_plan: FaultPlan | None = None) -> None:
+    def run_solve(self, job, fabric, result_queue) -> None:
         """Re-arm a retained, already-factored worker for one warm solve
-        job (the persistent pool's path): fresh fabric, fresh metrics and
-        trace, only right-hand-side values in and solution panels out —
-        the factor stays resident and ships zero bytes."""
+        ``job`` (the persistent pool's path): fresh fabric, fresh metrics
+        and trace, only right-hand-side values in and solution panels out
+        — the factor stays resident and ships zero bytes."""
         self.fabric = fabric
         self.inbox = fabric.inbox(self.rank)
         self.links = fabric.outgoing(self.rank)
         self.result_queue = result_queue
-        self.rhs = np.ascontiguousarray(rhs, dtype=np.float64)
+        self.rhs = np.ascontiguousarray(job.rhs, dtype=np.float64)
         self.metrics = WorkerMetrics(rank=self.rank)
         self.timeline = TimelineRecorder(enabled=self.record_timeline)
-        self.trace = TraceRecorder(trace_capacity) if trace_capacity else None
+        self.trace = (
+            TraceRecorder(job.trace_capacity) if job.trace_capacity else None
+        )
         self.done_peers = set()
-        self.fault_plan = fault_plan
+        self.fault_plan = job.fault_plan
         self.injector = None
         self._crash_after, self._crash_hard = self._crash_config()
         self._slow_s = (
-            fault_plan.slow_for(self.rank) if fault_plan else 0.0
+            self.fault_plan.slow_for(self.rank) if self.fault_plan else 0.0
         )
         solution = None
         try:
@@ -1282,6 +1273,7 @@ class Worker:
         t0 = self._now()
         self.chol.apply_task(tg, tid)
         t1 = self._now()
+        self._progress[self.rank] += 1
         self.timeline.add("busy", t0, t1)
         m = self.metrics
         m.tasks_executed += 1
@@ -1406,6 +1398,7 @@ class Worker:
         m.flops_executed += flops
         m.work_executed += flops + self.op_fixed_cost
         self.executed += 1
+        self._progress[self.rank] += 1
         if self.trace is not None:
             self.trace.span(
                 "task",
@@ -1456,7 +1449,7 @@ class Worker:
     def _publish(self, b: int) -> None:
         """Mark block ``b`` final and, on the shm transport, copy it into
         its arena slot (the producer's single copy) before any descriptor
-        for it can be sent — to peers *or* to the driver gather."""
+        for it can be sent to a peer."""
         self.have.add(b)
         if self.arena is not None:
             tg = self.tg
@@ -1503,20 +1496,21 @@ class Worker:
     # Shutdown
     # ------------------------------------------------------------------
     def _gather_frames(self) -> list[bytes]:
-        """Frames for every block this worker owns (the result gather)."""
-        inline = self.inline_gather
+        """Inline frames for every block this worker owns (the result
+        gather). Never descriptors: the arena slots may be overwritten by
+        a later job before the driver reads them."""
         return [
-            self._frame_for(int(b), inline=inline)
+            self._frame_for(int(b), inline=True)
             for b in np.flatnonzero(self.owners == self.rank)
         ]
 
     def _checkpoint_frames(self) -> list[bytes]:
-        """Frames for every *completed* block held locally — the snapshot
-        a restarted attempt resumes from. Safe on partially-initialized
-        workers."""
+        """Inline frames for every *completed* block held locally — the
+        snapshot a restarted attempt resumes from, which must outlive
+        this attempt's arena. Safe on partially-initialized workers."""
         if not hasattr(self, "chol"):
             return []
-        return [self._frame_for(b) for b in sorted(self.have)]
+        return [self._frame_for(b, inline=True) for b in sorted(self.have)]
 
     def _broadcast_abort(self) -> None:
         if self.trace is not None:
@@ -1536,7 +1530,7 @@ class Worker:
         m.solve_busy_s = self.timeline.totals["solve_busy"]
         m.solve_comm_s = self.timeline.totals["solve_comm"]
         m.solve_idle_s = self.timeline.totals["solve_idle"]
-        m.timeline = list(self.timeline.segments)
+        m.timeline = self.timeline.segments.copy()
         for dst, link in getattr(self, "links", {}).items():
             if link.messages:
                 m.links[dst] = [link.messages, link.bytes]
@@ -1557,7 +1551,3 @@ class Worker:
             m.trace_events = len(self.trace.events)
             m.trace_dropped = self.trace.dropped
 
-
-def worker_main(rank: int, kwargs: dict) -> None:
-    """Process entry point (must be a module-level function for spawn)."""
-    Worker(rank, **kwargs).run()

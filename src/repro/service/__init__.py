@@ -1,8 +1,8 @@
 """Factorization-as-a-service: a long-lived solver over the mp runtime.
 
 The paper's motivating workload is *repeated* numeric factorization of a
-fixed sparsity pattern inside interior-point LP loops, yet the one-shot
-engine pays full job setup — symbolic analysis, owner planning, worker
+fixed sparsity pattern inside interior-point LP loops, yet a one-shot
+run pays full job setup — symbolic analysis, owner planning, worker
 spawn, arena creation — for every matrix. This package keeps all of that
 warm:
 

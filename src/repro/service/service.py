@@ -32,7 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.runtime.arena import BlockArena, resolve_transport
-from repro.runtime.engine import _assemble, _merge_trace
+from repro.runtime.engine import _assemble, _assemble_solution, _merge_trace
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.pool import PoolJob, WorkerPool
 from repro.runtime.recovery import (
@@ -62,6 +62,25 @@ from repro.service.resilience import CircuitBreaker
 #: Errors the dispatcher turns into per-job failures rather than letting
 #: them crash the batch (``ValidationFailed`` subclasses ``JobFailed``).
 _PER_JOB_ERRORS = (UnknownPatternError, JobFailed)
+
+#: Byte budget of the completed-factor dedup map, on top of its
+#: ``dedup_capacity`` count. Each entry pins a whole factor twice (the CSC
+#: ``L`` and the assembled blocks), so a count alone lets the retained
+#: memory grow with the problem: 64 medium GRID150 results hold ~220 MB.
+#: The newest result is always kept.
+DEDUP_MAX_BYTES = 32 * 2**20
+
+
+def _result_nbytes(result: JobResult) -> int:
+    """Bytes a retained factor result pins: its CSC ``L`` plus the
+    assembled blocks."""
+    L = result.L
+    n = L.data.nbytes + L.indices.nbytes + L.indptr.nbytes
+    f = result.factor
+    if f is not None:
+        n += sum(D.nbytes for D in f.diag)
+        n += sum(B.nbytes for blocks in f.below for B in blocks.values())
+    return n
 
 
 class _Queued:
@@ -201,6 +220,7 @@ class FactorService:
         self._dedup_lock = threading.Lock()
         self._outstanding: dict[str, JobHandle] = {}
         self._completed: OrderedDict[str, JobResult] = OrderedDict()
+        self._completed_nbytes = 0
         self._completed_solves: OrderedDict[str, SolveResult] = OrderedDict()
         self._dedup_capacity = max(0, int(dedup_capacity))
         #: Serializes pool dispatch between the dispatcher thread (factor
@@ -458,7 +478,11 @@ class FactorService:
                     f"solve {job_id!r} missed its {deadline_s}s deadline"
                 )
             if out.ok:
-                x_perm = self._assemble_solution(entry, pb, out)
+                # None when a panel is missing: the sequential fallback
+                # answers rather than releasing a wrong solution.
+                x_perm = _assemble_solution(
+                    entry.structure, pb, out.results
+                )
                 if x_perm is not None:
                     outcome_tag = OUTCOME_CLEAN
                     record.run_s = out.wall_s
@@ -513,21 +537,6 @@ class FactorService:
                 while len(self._completed_solves) > self._dedup_capacity:
                     self._completed_solves.popitem(last=False)
         return result
-
-    def _assemble_solution(self, entry, pb, outcome) -> np.ndarray | None:
-        """Stitch per-rank solution panels into the permuted solution;
-        None when any panel is missing (triggers the sequential
-        fallback rather than releasing a wrong answer)."""
-        ptr = np.asarray(entry.structure.partition.panel_ptr, dtype=np.int64)
-        x = np.empty_like(pb)
-        seen = 0
-        for res in outcome.results.values():
-            for k, panel in (res.solution or {}).items():
-                x[int(ptr[k]):int(ptr[k + 1])] = panel
-                seen += int(ptr[k + 1] - ptr[k])
-        if seen != pb.shape[0]:
-            return None
-        return x
 
     def stats(self) -> dict:
         """Service-level counters + aggregates (JSON-safe)."""
@@ -959,16 +968,24 @@ class FactorService:
     # -- completion -----------------------------------------------------
     def _retire(self, job_id: str, result: JobResult | None = None) -> None:
         """Retire a job from the dedup registry. Successful results are
-        kept (bounded LRU) so a late idempotent retry of the same job_id
-        gets the answer instead of a re-run; failures are dropped so a
-        retry re-runs the job."""
+        kept (LRU bounded by ``dedup_capacity`` and
+        :data:`DEDUP_MAX_BYTES`) so a late idempotent retry of the same
+        job_id gets the answer instead of a re-run; failures are dropped
+        so a retry re-runs the job."""
         with self._dedup_lock:
             self._outstanding.pop(job_id, None)
             if result is not None and self._dedup_capacity:
+                old = self._completed.pop(job_id, None)
+                if old is not None:
+                    self._completed_nbytes -= _result_nbytes(old)
                 self._completed[job_id] = result
-                self._completed.move_to_end(job_id)
-                while len(self._completed) > self._dedup_capacity:
-                    self._completed.popitem(last=False)
+                self._completed_nbytes += _result_nbytes(result)
+                while len(self._completed) > 1 and (
+                    len(self._completed) > self._dedup_capacity
+                    or self._completed_nbytes > DEDUP_MAX_BYTES
+                ):
+                    _, old = self._completed.popitem(last=False)
+                    self._completed_nbytes -= _result_nbytes(old)
 
     def _finish_job(self, queued, entry, record, outcome) -> None:
         if not outcome.ok:

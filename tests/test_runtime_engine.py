@@ -12,6 +12,8 @@ from repro.analysis.comm_volume import communication_volume
 from repro.mapping.balance import overall_balance_from_owners
 from repro.numeric import BlockCholesky
 from repro.runtime import (
+    CrashSpec,
+    FaultPlan,
     WorkerError,
     mp_block_cholesky,
     plan_owners,
@@ -19,6 +21,11 @@ from repro.runtime import (
     validate_runtime,
 )
 from repro.runtime.validation import ValidationError
+
+
+def _crash(rank, after_tasks):
+    """A soft crash: worker ``rank`` raises after ``after_tasks`` tasks."""
+    return FaultPlan(crash=(CrashSpec(rank, after_tasks),))
 
 
 def _no_orphans():
@@ -156,7 +163,8 @@ class TestShutdown:
         with pytest.raises(WorkerError, match="injected failure"):
             mp_block_cholesky(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
-                inject_failure=(1, 3), stall_timeout_s=10, timeout_s=60,
+                fault_plan=_crash(1, 3), recovery=False,
+                stall_timeout_s=10, timeout_s=60,
             )
         assert _no_orphans()
 
@@ -183,7 +191,8 @@ class TestShutdown:
         with pytest.raises(WorkerError) as info:
             mp_block_cholesky(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
-                inject_failure=(2, 3), stall_timeout_s=10, timeout_s=60,
+                fault_plan=_crash(2, 3), recovery=False,
+                stall_timeout_s=10, timeout_s=60,
             )
         exc = info.value
         text = str(exc)
@@ -201,7 +210,8 @@ class TestShutdown:
         with pytest.raises(WorkerError) as info:
             mp_block_cholesky(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
-                inject_failure=(1, 3), stall_timeout_s=10, timeout_s=60,
+                fault_plan=_crash(1, 3), recovery=False,
+                stall_timeout_s=10, timeout_s=60,
             )
         exc = info.value
         assert set(exc.results) == {0, 1, 2, 3}

@@ -288,6 +288,87 @@ class TestInRunRecovery:
         assert abs(res.to_csc() - seq).max() < 1e-8
 
 
+class _ControlLog:
+    """Stands in for a Link: records the control frames sent on it."""
+
+    def __init__(self):
+        self.frames = []
+
+    def send_control(self, frame):
+        self.frames.append(frame)
+
+
+def _idle_worker(progress, owners, expected):
+    """A Worker holding just the state renegotiation reads: rank 0,
+    waiting on ``expected`` blocks, peers' counters in ``progress``."""
+    from repro.runtime.metrics import WorkerMetrics
+    from repro.runtime.worker import Worker
+
+    w = Worker.__new__(Worker)
+    w.rank = 0
+    w.owners = np.asarray(owners)
+    w.expected = set(expected)
+    w.links = {r: _ControlLog() for r in range(1, len(progress))}
+    w.metrics = WorkerMetrics(rank=0)
+    w.trace = None
+    w.renegotiate_base_s = 0.05
+    w.renegotiate_cap_s = 0.5
+    w.max_renegotiations = 3
+    w._reneg_attempts = 0
+    w._last_reneg = 0.0
+    w._progress = progress
+    w._peer_progress = list(progress)
+    return w
+
+
+class TestProgressAwareRenegotiation:
+    def test_busy_owner_is_not_nacked(self):
+        progress = [0, 0, 0]
+        w = _idle_worker(progress, owners=[0, 1, 2], expected=[1])
+        for step in range(1, 10):
+            progress[1] += 1  # the owner keeps executing tasks
+            w._maybe_renegotiate(now=step * 1.0, last_progress=0.0)
+        assert w.metrics.renegotiations == 0
+        assert w.metrics.nacks_sent == 0
+        assert not w.links[1].frames
+
+    def test_stalled_owner_is_nacked(self):
+        progress = [0, 0, 0]
+        w = _idle_worker(progress, owners=[0, 1, 2], expected=[1])
+        progress[2] += 5  # a peer that owns nothing we wait on
+        w._maybe_renegotiate(now=1.0, last_progress=0.0)
+        assert w.metrics.renegotiations == 1
+        assert w.metrics.nacks_sent == 1
+        assert wire.unpack(w.links[1].frames[0]).block == 1
+        assert not w.links[2].frames
+
+    def test_nack_follows_once_owner_stops(self):
+        progress = [0, 0]
+        w = _idle_worker(progress, owners=[0, 1], expected=[1])
+        progress[1] += 1
+        w._maybe_renegotiate(now=1.0, last_progress=0.0)
+        assert w.metrics.nacks_sent == 0
+        w._maybe_renegotiate(now=1.01, last_progress=0.0)  # within delay
+        assert w.metrics.nacks_sent == 0
+        w._maybe_renegotiate(now=2.0, last_progress=0.0)
+        assert w.metrics.nacks_sent == 1
+
+    def test_slow_worker_causes_no_recovery(self, grid12_pipeline):
+        """A peer slowed to 10 ms a task holds its coalesced frames far
+        past the renegotiation window, yet keeps executing: nobody NACKs
+        it, so a fault-free-but-slow run records no recovery event."""
+        _, sf, _, bs, _, tg = grid12_pipeline
+        plan = FaultPlan.scenario("slow", seed=0, rank=1, slow_s=0.01)
+        res = run_with_recovery(
+            bs, sf.A, tg, nprocs=2, mapping="DW/CY",
+            fault_plan=plan, **FAST,
+        )
+        m = res.metrics
+        assert m.faults_injected_total.get("slow", 0) > 0
+        assert m.recovery_events_total == 0
+        assert abs(res.to_csc() - _seq_factor(grid12_pipeline)).max() < 1e-8
+
+
 class TestDriverWatchdogs:
     def test_global_timeout_raises_timeout_error(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline

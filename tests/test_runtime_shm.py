@@ -447,9 +447,10 @@ class TestArenaCleanup:
         assert float(abs(L @ L.T - sf.A).max()) < 1e-8
 
     def test_soft_crash_checkpoint_restart_over_shm(self, grid12_pipeline):
-        """Salvaged BLOCK_REF frames are inlined before the arena dies, so
-        the restarted attempt can preload them (and serve NACKs for them
-        from its own fresh arena)."""
+        """Workers ship their checkpoint frames inline even on shm, so the
+        salvaged blocks outlive the failed attempt's arena and the
+        restarted attempt on the same pool can preload them (and serve
+        NACKs for them from its own fresh arena)."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(
             seed=2, crash=(CrashSpec(rank=1, after_tasks=4, hard=False),)

@@ -315,6 +315,26 @@ class TestDedup:
             assert len(svc._completed) == 2
             assert set(svc._completed) == {"job-2", "job-3"}
 
+    def test_dedup_bytes_bound_the_table(self, grid_A, monkeypatch):
+        """Completed factors are also held to a byte budget, oldest out
+        first; the newest result stays even when it alone is over."""
+        from repro.service import service as service_mod
+
+        with FactorService(**SVC_KW) as svc:
+            r0 = svc.factor(_shifted(grid_A, 0.1), job_id="job-0")
+            one = service_mod._result_nbytes(r0)
+            monkeypatch.setattr(service_mod, "DEDUP_MAX_BYTES", 2 * one)
+            for i in range(1, 4):
+                svc.factor(_shifted(grid_A, 0.1 * (i + 1)),
+                           job_id=f"job-{i}")
+            assert list(svc._completed) == ["job-2", "job-3"]
+            assert svc._completed_nbytes == 2 * one
+            monkeypatch.setattr(service_mod, "DEDUP_MAX_BYTES", 1)
+            svc.factor(_shifted(grid_A, 0.5), job_id="job-4")
+            assert list(svc._completed) == ["job-4"]
+            assert svc.factor(grid_A, job_id="job-4") is not None
+            assert svc.metrics.deduped == 1
+
 
 class TestClientResilience:
     def test_connect_refused_is_typed_and_prompt(self):
